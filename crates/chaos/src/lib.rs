@@ -4,14 +4,14 @@
 //! rather than surface them, and the only way to *prove* that is to misbehave
 //! on purpose. This crate provides a process-global, explicitly installed
 //! [`FaultPlan`] that production code consults at named injection points
-//! ("pipeline.fit", "pipeline.predict", "predict.interval", "cache.flatten",
-//! "executor.unit", "service.submit", ...). Each point asks
+//! ("pipeline.fit", "pipeline.predict", "predict.interval", "executor.unit",
+//! "service.submit", ...). Each point asks
 //! [`inject`] whether a fault fires; the answer is a **pure function** of the
 //! plan seed, the site name, and a caller-supplied key — never of thread
 //! identity, call order, or wall clock — so a seeded plan perturbs a serial
 //! run and a parallel run in exactly the same places. That determinism is
-//! what lets the chaos gauntlet assert serial==parallel and cached==uncached
-//! ranking parity *under* injected faults, not just without them.
+//! what lets the chaos gauntlet assert serial==parallel ranking parity
+//! *under* injected faults, not just without them.
 //!
 //! When no plan is installed the entire layer costs one relaxed atomic load
 //! per injection point ([`enabled`]), so shipping the hooks in production
@@ -28,8 +28,8 @@ use autoai_linalg::Rng64;
 /// One fault drawn from the installed [`FaultPlan`] at an injection point.
 ///
 /// The *site* decides which faults are meaningful: a fit path honors all
-/// four, a cache build honors panics and delays, a forecast path honors NaN
-/// poisoning. Sites ignore variants that do not apply to them.
+/// four, the executor honors delays, a forecast path honors NaN poisoning.
+/// Sites ignore variants that do not apply to them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The injection point should panic (exercises `catch_unwind` isolation).
@@ -213,7 +213,7 @@ mod tests {
         install(FaultPlan::empty(7));
         for k in 0..500 {
             assert_eq!(inject("pipeline.fit", k), None);
-            assert_eq!(inject("cache.flatten", k), None);
+            assert_eq!(inject("executor.unit", k), None);
         }
         assert_eq!(injected_count(), 0);
         disable();

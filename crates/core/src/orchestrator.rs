@@ -10,10 +10,7 @@ use autoai_pipelines::{
     EnsembleForecaster, Forecaster, IntervalForecast, IntervalSource, PipelineContext,
     PipelineError, ZeroModelPipeline,
 };
-use autoai_tdaub::{
-    run_tdaub_with_cache, EnsembleSelection, ExecutionReport, PipelineReport, TDaubConfig,
-};
-use autoai_transforms::TransformCache;
+use autoai_tdaub::{run_tdaub, EnsembleSelection, ExecutionReport, PipelineReport, TDaubConfig};
 use autoai_tsdata::{
     clean, holdout_split, quality_check, Metric, QualityIssue, QualityReport, TimeSeriesFrame,
 };
@@ -121,8 +118,6 @@ struct FittedState {
     zero_model: ZeroModelPipeline,
     summary: FitSummary,
     n_series: usize,
-    /// Per-series holdout residual standard deviation (interval width).
-    residual_std: Vec<f64>,
     /// Split-conformal calibration from the train-fitted winner's holdout
     /// residuals; `None` when the winner could not predict the holdout.
     conformal: Option<ConformalCalibration>,
@@ -132,8 +127,6 @@ struct FittedState {
 pub struct AutoAITS {
     config: AutoAITSConfig,
     progress: Arc<dyn Progress>,
-    /// Caller-owned cache shared across fits; `None` = per-run cache.
-    transform_cache: Option<Arc<TransformCache>>,
     /// Quality issues observed by a serving loop *between* fits (e.g.
     /// timestamps dropped while growing a stored series); the next fit
     /// drains them into its [`FitSummary::quality`] report.
@@ -158,7 +151,6 @@ impl AutoAITS {
         Self {
             config,
             progress: Arc::new(NoProgress),
-            transform_cache: None,
             carried_issues: Vec::new(),
             state: None,
         }
@@ -167,15 +159,6 @@ impl AutoAITS {
     /// Attach a progress sink (CLI/web-UI surface of §4).
     pub fn with_progress(mut self, progress: Arc<dyn Progress>) -> Self {
         self.progress = progress;
-        self
-    }
-
-    /// Share a long-lived [`TransformCache`] across fits. The service layer
-    /// passes one cache for every request on the same series, so flattened
-    /// design matrices survive between requests when the frame fingerprints
-    /// extend. The cache affects wall time only, never the ranking.
-    pub fn with_transform_cache(mut self, cache: Arc<TransformCache>) -> Self {
-        self.transform_cache = Some(cache);
         self
     }
 
@@ -349,140 +332,127 @@ impl AutoAITS {
         // T-Daub run with survivors serves the ranked winner (walking down
         // the ranking when the winner's final refit fails), and a run where
         // *everything* failed serves the ZeroModel baseline.
-        let (
-            best,
-            reports,
-            execution,
-            holdout_smape,
-            residual_std,
-            conformal,
-            ensemble,
-            degradation,
-        ) = match run_tdaub_with_cache(pipelines, &train, &tdaub_cfg, self.transform_cache.clone())
-        {
-            Ok(result) => {
-                for failed in result.execution.failures() {
-                    self.progress.report(&ProgressEvent::PipelineExcluded {
-                        name: failed.name.clone(),
-                        reason: failed
-                            .failure
-                            .as_ref()
-                            .map(|k| k.to_string())
-                            .unwrap_or_default(),
-                    });
-                }
-                self.progress.report(&ProgressEvent::TDaubFinished {
-                    best: result.best.name(),
-                    evaluations: result.execution.total_allocations(),
-                    failures: result.execution.failures().count(),
-                });
-
-                let mut holdout_smape = result
-                    .best
-                    .score(&holdout, Metric::Smape)
-                    .unwrap_or(f64::INFINITY);
-                self.progress.report(&ProgressEvent::HoldoutScored {
-                    smape: holdout_smape,
-                });
-                let mut residual_std = residual_spread(result.best.as_ref(), &holdout);
-                // calibrate the conformal wrap while the winner is still
-                // the *train*-fitted state (split conformal needs the
-                // holdout untouched by the serving fit)
-                let mut conformal = ConformalCalibration::calibrate(result.best.as_ref(), &holdout);
-                let ensemble = result.ensemble.clone();
-
-                let mut degradation = if result.execution.failures().next().is_some()
-                    || result.execution.run_deadline_hit
-                {
-                    // a run truncated by the whole-run hard deadline serves
-                    // ranked survivors from partial evidence — surface that
-                    // exactly like a partially-lost pool
-                    DegradationLevel::Survivors
-                } else {
-                    DegradationLevel::None
-                };
-                // the greedy-selected ensemble gets first claim on the
-                // serving slot; it is kept only when its own holdout
-                // score is no worse than the single winner's
-                let promoted = ensemble
-                    .as_ref()
-                    .filter(|sel| sel.members.len() >= 2)
-                    .and_then(|sel| {
-                        fit_ensemble_winner(sel, &ctx, &train, &holdout, &data, holdout_smape)
-                    });
-                let best = match promoted {
-                    Some(promo) => {
-                        holdout_smape = promo.holdout_smape;
-                        residual_std = promo.residual_std;
-                        conformal = promo.conformal;
-                        promo.forecaster
+        let (best, reports, execution, holdout_smape, conformal, ensemble, degradation) =
+            match run_tdaub(pipelines, &train, &tdaub_cfg) {
+                Ok(result) => {
+                    for failed in result.execution.failures() {
+                        self.progress.report(&ProgressEvent::PipelineExcluded {
+                            name: failed.name.clone(),
+                            reason: failed
+                                .failure
+                                .as_ref()
+                                .map(|k| k.to_string())
+                                .unwrap_or_default(),
+                        });
                     }
-                    None => {
-                        // full-data retraining, panic-isolated; when the
-                        // winner fails its refit, the ranked runners-up
-                        // each get one rung before the ladder hits the
-                        // baseline
-                        let mut best = result.best.clone_unfitted();
-                        if rung_fit(&mut best, &data).is_err() {
-                            degradation = DegradationLevel::Survivors;
-                            let runner_up = result.reports.iter().skip(1).find_map(|report| {
-                                let mut next = pipeline_by_name(&report.name, &ctx)?;
-                                rung_fit(&mut next, &data).ok().map(|()| next)
-                            });
-                            best = match runner_up {
-                                Some(b) => b,
-                                None => {
-                                    degradation = DegradationLevel::ZeroModel;
-                                    let mut zm: Box<dyn Forecaster> =
-                                        Box::new(ZeroModelPipeline::new());
-                                    zm.fit(&data)?;
-                                    zm
-                                }
-                            };
+                    self.progress.report(&ProgressEvent::TDaubFinished {
+                        best: result.best.name(),
+                        evaluations: result.execution.total_allocations(),
+                        failures: result.execution.failures().count(),
+                    });
+
+                    let mut holdout_smape = result
+                        .best
+                        .score(&holdout, Metric::Smape)
+                        .unwrap_or(f64::INFINITY);
+                    self.progress.report(&ProgressEvent::HoldoutScored {
+                        smape: holdout_smape,
+                    });
+                    // calibrate the conformal wrap while the winner is still
+                    // the *train*-fitted state (split conformal needs the
+                    // holdout untouched by the serving fit)
+                    let mut conformal =
+                        ConformalCalibration::calibrate(result.best.as_ref(), &holdout);
+                    let ensemble = result.ensemble.clone();
+
+                    let mut degradation = if result.execution.failures().next().is_some()
+                        || result.execution.run_deadline_hit
+                    {
+                        // a run truncated by the whole-run hard deadline serves
+                        // ranked survivors from partial evidence — surface that
+                        // exactly like a partially-lost pool
+                        DegradationLevel::Survivors
+                    } else {
+                        DegradationLevel::None
+                    };
+                    // the greedy-selected ensemble gets first claim on the
+                    // serving slot; it is kept only when its own holdout
+                    // score is no worse than the single winner's
+                    let promoted = ensemble
+                        .as_ref()
+                        .filter(|sel| sel.members.len() >= 2)
+                        .and_then(|sel| {
+                            fit_ensemble_winner(sel, &ctx, &train, &holdout, &data, holdout_smape)
+                        });
+                    let best = match promoted {
+                        Some(promo) => {
+                            holdout_smape = promo.holdout_smape;
+                            conformal = promo.conformal;
+                            promo.forecaster
                         }
-                        best
-                    }
-                };
-                (
-                    best,
-                    result.reports,
-                    result.execution,
-                    holdout_smape,
-                    residual_std,
-                    conformal,
-                    ensemble,
-                    degradation,
-                )
-            }
-            Err(_) => {
-                // every pipeline failed during ranking; the system must
-                // still forecast. Score the baseline honestly (fit on
-                // the training split, scored on the holdout) and serve
-                // a full-data ZeroModel.
-                let mut scored = ZeroModelPipeline::new();
-                scored.fit(&train)?;
-                let holdout_smape = scored
-                    .score(&holdout, Metric::Smape)
-                    .unwrap_or(f64::INFINITY);
-                self.progress.report(&ProgressEvent::HoldoutScored {
-                    smape: holdout_smape,
-                });
-                let residual_std = residual_spread(&scored, &holdout);
-                let conformal = ConformalCalibration::calibrate(&scored, &holdout);
-                let mut best: Box<dyn Forecaster> = Box::new(ZeroModelPipeline::new());
-                best.fit(&data)?;
-                (
-                    best,
-                    Vec::new(),
-                    ExecutionReport::default(),
-                    holdout_smape,
-                    residual_std,
-                    conformal,
-                    None,
-                    DegradationLevel::ZeroModel,
-                )
-            }
-        };
+                        None => {
+                            // full-data retraining, panic-isolated; when the
+                            // winner fails its refit, the ranked runners-up
+                            // each get one rung before the ladder hits the
+                            // baseline
+                            let mut best = result.best.clone_unfitted();
+                            if rung_fit(&mut best, &data).is_err() {
+                                degradation = DegradationLevel::Survivors;
+                                let runner_up = result.reports.iter().skip(1).find_map(|report| {
+                                    let mut next = pipeline_by_name(&report.name, &ctx)?;
+                                    rung_fit(&mut next, &data).ok().map(|()| next)
+                                });
+                                best = match runner_up {
+                                    Some(b) => b,
+                                    None => {
+                                        degradation = DegradationLevel::ZeroModel;
+                                        let mut zm: Box<dyn Forecaster> =
+                                            Box::new(ZeroModelPipeline::new());
+                                        zm.fit(&data)?;
+                                        zm
+                                    }
+                                };
+                            }
+                            best
+                        }
+                    };
+                    (
+                        best,
+                        result.reports,
+                        result.execution,
+                        holdout_smape,
+                        conformal,
+                        ensemble,
+                        degradation,
+                    )
+                }
+                Err(_) => {
+                    // every pipeline failed during ranking; the system must
+                    // still forecast. Score the baseline honestly (fit on
+                    // the training split, scored on the holdout) and serve
+                    // a full-data ZeroModel.
+                    let mut scored = ZeroModelPipeline::new();
+                    scored.fit(&train)?;
+                    let holdout_smape = scored
+                        .score(&holdout, Metric::Smape)
+                        .unwrap_or(f64::INFINITY);
+                    self.progress.report(&ProgressEvent::HoldoutScored {
+                        smape: holdout_smape,
+                    });
+                    let conformal = ConformalCalibration::calibrate(&scored, &holdout);
+                    let mut best: Box<dyn Forecaster> = Box::new(ZeroModelPipeline::new());
+                    best.fit(&data)?;
+                    (
+                        best,
+                        Vec::new(),
+                        ExecutionReport::default(),
+                        holdout_smape,
+                        conformal,
+                        None,
+                        DegradationLevel::ZeroModel,
+                    )
+                }
+            };
         if degradation != DegradationLevel::None {
             self.progress
                 .report(&ProgressEvent::Degraded { level: degradation });
@@ -506,7 +476,6 @@ impl AutoAITS {
             zero_model,
             summary,
             n_series: data.n_series(),
-            residual_std,
             conformal,
         });
         Ok(self)
@@ -521,34 +490,6 @@ impl AutoAITS {
     /// Forecast as a row-major 2-D array (`horizon x n_series`).
     pub fn predict_rows(&self, horizon: usize) -> Result<Vec<Vec<f64>>, PipelineError> {
         Ok(self.predict(horizon)?.to_rows())
-    }
-
-    /// Forecast with per-series `±z`-sigma prediction intervals derived from
-    /// the holdout residual spread. Returns, per series, a vector of
-    /// `(point, lower, upper)` triples. Interval width grows with the step
-    /// index by `sqrt(h)` (random-walk style error accumulation).
-    pub fn predict_with_interval(
-        &self,
-        horizon: usize,
-        z: f64,
-    ) -> Result<Vec<Vec<(f64, f64, f64)>>, PipelineError> {
-        let state = self.state.as_ref().ok_or(PipelineError::NotFitted)?;
-        let point = state.best.predict(horizon.max(1))?;
-        let out = (0..point.n_series())
-            .map(|c| {
-                let sd = state.residual_std.get(c).copied().unwrap_or(f64::NAN);
-                point
-                    .series(c)
-                    .iter()
-                    .enumerate()
-                    .map(|(h, &p)| {
-                        let w = z * sd * ((h + 1) as f64).sqrt();
-                        (p, p - w, p + w)
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(out)
     }
 
     /// Forecast with monotone, non-crossing quantile bands at the requested
@@ -621,7 +562,6 @@ fn rung_fit(
 struct PromotedEnsemble {
     forecaster: Box<dyn Forecaster>,
     holdout_smape: f64,
-    residual_std: Vec<f64>,
     conformal: Option<ConformalCalibration>,
 }
 
@@ -653,35 +593,14 @@ fn fit_ensemble_winner(
     if !smape.is_finite() || smape > single_smape {
         return None;
     }
-    let residual_std = residual_spread(ens.as_ref(), holdout);
     let conformal = ConformalCalibration::calibrate(ens.as_ref(), holdout);
     let mut full = ens.clone_unfitted();
     rung_fit(&mut full, data).ok()?;
     Some(PromotedEnsemble {
         forecaster: full,
         holdout_smape: smape,
-        residual_std,
         conformal,
     })
-}
-
-/// Per-series holdout residual standard deviation (prediction-interval
-/// widths); NaN when the forecaster cannot predict the holdout's shape.
-fn residual_spread(best: &dyn Forecaster, holdout: &TimeSeriesFrame) -> Vec<f64> {
-    match best.predict(holdout.len()) {
-        Ok(pred) if pred.n_series() == holdout.n_series() => (0..holdout.n_series())
-            .map(|c| {
-                let resid: Vec<f64> = holdout
-                    .series(c)
-                    .iter()
-                    .zip(pred.series(c))
-                    .map(|(a, p)| a - p)
-                    .collect();
-                autoai_linalg::std_dev(&resid).max(1e-12)
-            })
-            .collect(),
-        _ => vec![f64::NAN; holdout.n_series()],
-    }
 }
 
 /// Seasonal-period candidates when the user supplied the look-back: run the
@@ -853,22 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_transform_cache_accumulates_across_fits() {
-        let cache = Arc::new(TransformCache::new());
-        let mut sys = AutoAITS::with_config(fast_config()).with_transform_cache(Arc::clone(&cache));
-        sys.fit_rows(&seasonal_rows(300)).unwrap();
-        let after_first = cache.stats();
-        assert!(
-            after_first.hits + after_first.misses > 0,
-            "shared cache untouched by fit"
-        );
-        // the same fit again reuses the same long-lived cache
-        sys.fit_rows(&seasonal_rows(300)).unwrap();
-        let after_second = cache.stats();
-        assert!(after_second.hits + after_second.misses > after_first.hits + after_first.misses);
-    }
-
-    #[test]
     fn progress_events_fire_in_order() {
         use std::sync::Mutex;
         struct Collect(Mutex<Vec<String>>);
@@ -949,31 +852,8 @@ mod interval_tests {
     use super::*;
 
     #[test]
-    fn intervals_bracket_the_point_and_widen() {
-        let rows: Vec<Vec<f64>> = (0..300)
-            .map(|i| vec![20.0 + 5.0 * (2.0 * std::f64::consts::PI * i as f64 / 12.0).sin()])
-            .collect();
-        let mut sys = AutoAITS::with_config(AutoAITSConfig {
-            pipeline_names: Some(vec!["MT2RForecaster".into(), "ZeroModel".into()]),
-            ..Default::default()
-        });
-        sys.fit_rows(&rows).unwrap();
-        let iv = sys.predict_with_interval(6, 1.96).unwrap();
-        assert_eq!(iv.len(), 1);
-        assert_eq!(iv[0].len(), 6);
-        for (p, lo, hi) in &iv[0] {
-            assert!(lo <= p && p <= hi);
-        }
-        // width grows with the step index
-        let w0 = iv[0][0].2 - iv[0][0].1;
-        let w5 = iv[0][5].2 - iv[0][5].1;
-        assert!(w5 > w0, "w0={w0} w5={w5}");
-    }
-
-    #[test]
     fn interval_before_fit_errors() {
         let sys = AutoAITS::new();
-        assert!(sys.predict_with_interval(3, 2.0).is_err());
         assert!(sys.predict_interval(3, &[0.8, 0.95]).is_err());
     }
 

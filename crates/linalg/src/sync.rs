@@ -21,7 +21,7 @@
 //!
 //! Same-name nesting is deliberately not tracked: the workspace never
 //! nests two locks of one order class, and treating `A → A` as a cycle
-//! would flag the (safe) sequential-guard patterns the cache uses.
+//! would flag safe sequential-guard patterns (take, release, take again).
 //!
 //! The sanitizer's own bookkeeping lock is a plain `std::sync::Mutex`
 //! and is strictly a leaf: it is never held while acquiring a user lock,

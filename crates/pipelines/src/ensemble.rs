@@ -7,20 +7,17 @@
 //! trained on the windowed data, evaluated on a temporal validation split of
 //! the windows, and the best one is refitted on everything.
 
-use std::sync::Arc;
-
 use autoai_ml_models::{
     GradientBoostingConfig, GradientBoostingRegressor, LinearRegression, MultiOutputRegressor,
     RandomForestConfig, RandomForestRegressor, Regressor,
 };
 use autoai_transforms::{
-    latest_window, DifferenceTransform, LogTransform, Transform, TransformCache,
+    flatten_windows, latest_window, DifferenceTransform, LogTransform, Transform,
 };
 use autoai_tsdata::TimeSeriesFrame;
 
 use autoai_tsdata::FrameFingerprint;
 
-use crate::caching::{cached_flatten, cached_frame_op, cached_localized_flatten};
 use crate::traits::{Forecaster, PipelineError};
 
 /// Which flatten variant the ensembler uses.
@@ -58,8 +55,6 @@ pub struct AutoEnsembler {
     /// Tail of the *transformed* training data used to seed prediction.
     train_tail: Option<TimeSeriesFrame>,
     names: Vec<String>,
-    /// Shared transform cache attached by the execution engine.
-    cache: Option<Arc<TransformCache>>,
     /// Rows of the last successfully fitted frame (0 = unfitted).
     fitted_rows: usize,
     /// Window-matrix rows at the last regressor *tournament*; once the
@@ -101,7 +96,6 @@ impl AutoEnsembler {
             local_chosen: Vec::new(),
             train_tail: None,
             names: Vec::new(),
-            cache: None,
             fitted_rows: 0,
             tournament_rows: 0,
             last_fp: None,
@@ -200,10 +194,6 @@ impl AutoEnsembler {
     /// with the look-back clamped to it — shared by `fit` and
     /// [`Forecaster::fit_incremental`] so both paths see identical inputs.
     fn apply_transforms(&mut self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        let cache = self.cache.as_ref();
-        // the transform passes themselves are memoized so every -log /
-        // difference pipeline in the pool shares one output frame (and
-        // therefore one set of downstream window matrices)
         self.log = if self.use_log {
             let mut t = LogTransform::new();
             t.fit(frame);
@@ -212,7 +202,7 @@ impl AutoEnsembler {
             None
         };
         let after_log = match &self.log {
-            Some(l) => cached_frame_op(cache, frame, "log", || l.transform(frame)),
+            Some(l) => l.transform(frame),
             None => frame.clone(),
         };
         self.diff = if self.mode == EnsembleMode::DifferenceFlatten {
@@ -223,10 +213,7 @@ impl AutoEnsembler {
             None
         };
         let transformed = match &self.diff {
-            Some(d) => {
-                let tag = format!("diff{}", d.order());
-                cached_frame_op(cache, &after_log, &tag, || d.transform(&after_log))
-            }
+            Some(d) => d.transform(&after_log),
             None => after_log,
         };
 
@@ -257,14 +244,13 @@ impl Forecaster for AutoEnsembler {
         self.tournament_rows = 0;
         self.last_fp = None;
         let transformed = self.apply_transforms(frame);
-        let cache = self.cache.as_ref();
 
         self.model = None;
         self.local_models.clear();
         self.local_chosen.clear();
         match self.mode {
             EnsembleMode::Flatten | EnsembleMode::DifferenceFlatten => {
-                let ds = cached_flatten(cache, &transformed, self.lookback, self.horizon);
+                let ds = flatten_windows(&transformed, self.lookback, self.horizon);
                 if ds.is_empty() {
                     return Err(PipelineError::InvalidInput(format!(
                         "length {} too short for lookback {} + horizon {}",
@@ -281,13 +267,7 @@ impl Forecaster for AutoEnsembler {
             EnsembleMode::LocalizedFlatten => {
                 let mut chosen_names = Vec::new();
                 for c in 0..transformed.n_series() {
-                    let ds = cached_localized_flatten(
-                        cache,
-                        &transformed,
-                        c,
-                        self.lookback,
-                        self.horizon,
-                    );
+                    let ds = flatten_windows(&transformed.select(c), self.lookback, self.horizon);
                     if ds.is_empty() {
                         return Err(PipelineError::InvalidInput(
                             "series too short for localized windows".into(),
@@ -327,7 +307,6 @@ impl Forecaster for AutoEnsembler {
         }
         self.names = frame.names().to_vec();
         let transformed = self.apply_transforms(frame);
-        let cache = self.cache.as_ref();
         // growth trigger: once the window count has doubled since the last
         // tournament, the winner may no longer hold — decline the warm
         // start so the executor's full `fit` re-runs the selection
@@ -337,7 +316,7 @@ impl Forecaster for AutoEnsembler {
                 if self.model.is_none() {
                     return Ok(false);
                 }
-                let ds = cached_flatten(cache, &transformed, self.lookback, self.horizon);
+                let ds = flatten_windows(&transformed, self.lookback, self.horizon);
                 if ds.is_empty() || stale(ds.x.nrows()) {
                     return Ok(false);
                 }
@@ -352,13 +331,7 @@ impl Forecaster for AutoEnsembler {
                 // previous models intact for the executor's cold fallback
                 let mut models = Vec::with_capacity(self.local_chosen.len());
                 for (c, name) in self.local_chosen.iter().enumerate() {
-                    let ds = cached_localized_flatten(
-                        cache,
-                        &transformed,
-                        c,
-                        self.lookback,
-                        self.horizon,
-                    );
+                    let ds = flatten_windows(&transformed.select(c), self.lookback, self.horizon);
                     if ds.is_empty() || stale(ds.x.nrows()) {
                         return Ok(false);
                     }
@@ -434,18 +407,12 @@ impl Forecaster for AutoEnsembler {
     }
 
     fn clone_unfitted(&self) -> Box<dyn Forecaster> {
-        // deliberately does not carry the cache: the execution engine
-        // re-attaches it before every fit so detached clones stay inert
         Box::new(Self::new(
             self.mode,
             self.lookback,
             self.horizon,
             self.use_log,
         ))
-    }
-
-    fn set_transform_cache(&mut self, cache: Option<Arc<TransformCache>>) {
-        self.cache = cache;
     }
 }
 

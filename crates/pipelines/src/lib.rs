@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod caching;
 pub mod ensemble;
 pub mod interval;
 pub mod registry;
@@ -26,7 +25,6 @@ pub mod traits;
 pub mod weighted_ensemble;
 pub mod window_pipeline;
 
-pub use caching::{cached_flatten, cached_frame_op, cached_localized_flatten};
 pub use ensemble::{AutoEnsembler, EnsembleMode};
 pub use interval::{
     predict_interval_or_conformal, ConformalCalibration, IntervalForecast, IntervalSource,

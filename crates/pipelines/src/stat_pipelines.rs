@@ -1,7 +1,6 @@
 //! Pipelines wrapping the statistical models (one model per series) plus
 //! the fast linear MT2RForecaster and the neural pipeline.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use autoai_ml_models::{LinearRegression, MultiOutputRegressor};
@@ -10,10 +9,9 @@ use autoai_stat_models::{
     auto_arima_seeded_with_deadline, auto_arima_with_deadline, Arima, Bats, BatsConfig, Garch,
     HoltWinters, IncrementalAr, SeasonalNaive, Seasonality, ThetaModel, ZeroModel,
 };
-use autoai_transforms::{latest_window, TransformCache};
+use autoai_transforms::{flatten_windows, latest_window};
 use autoai_tsdata::{FrameFingerprint, TimeSeriesFrame};
 
-use crate::caching::cached_flatten;
 use crate::interval::{IntervalForecast, IntervalSource};
 use crate::traits::{Forecaster, PipelineError};
 
@@ -27,8 +25,8 @@ fn forecast_frame(names: &[String], forecasts: Vec<Vec<f64>>) -> TimeSeriesFrame
 
 /// Deterministic chaos gate at the top of `fit`/`fit_incremental`. The key
 /// folds the pipeline name and the frame length — both pure functions of the
-/// evaluated allocation — so a cached replay and a fresh evaluation of the
-/// same unit draw the same fault, preserving cached==uncached ranking parity
+/// evaluated allocation — so a memo replay and a fresh evaluation of the
+/// same unit draw the same fault, keeping rankings independent of execution mode
 /// under injection. [`ZeroModelPipeline`] deliberately has no gate: it is the
 /// degradation ladder's last rung and must stay fault-free by construction.
 fn chaos_fit_gate(pipeline: &str, len: usize) -> Result<(), PipelineError> {
@@ -1163,7 +1161,6 @@ pub struct Mt2rForecaster {
     model: Option<MultiOutputRegressor>,
     train_tail: Option<TimeSeriesFrame>,
     names: Vec<String>,
-    cache: Option<Arc<TransformCache>>,
 }
 
 impl Mt2rForecaster {
@@ -1175,7 +1172,6 @@ impl Mt2rForecaster {
             model: None,
             train_tail: None,
             names: Vec::new(),
-            cache: None,
         }
     }
 }
@@ -1187,7 +1183,7 @@ impl Forecaster for Mt2rForecaster {
         // shrink look-back for short series so at least 4 windows exist
         let max_lb = frame.len().saturating_sub(self.horizon + 4).max(1);
         self.lookback = self.lookback.min(max_lb);
-        let ds = cached_flatten(self.cache.as_ref(), frame, self.lookback, self.horizon);
+        let ds = flatten_windows(frame, self.lookback, self.horizon);
         if ds.is_empty() {
             return Err(PipelineError::InvalidInput(format!(
                 "series of length {} too short for lookback {} + horizon {}",
@@ -1239,10 +1235,6 @@ impl Forecaster for Mt2rForecaster {
     fn clone_unfitted(&self) -> Box<dyn Forecaster> {
         Box::new(Self::new(self.lookback, self.horizon))
     }
-
-    fn set_transform_cache(&mut self, cache: Option<Arc<TransformCache>>) {
-        self.cache = cache;
-    }
 }
 
 /// Deep-learning pipeline: a direct multi-step MLP over flattened windows.
@@ -1265,7 +1257,6 @@ pub struct NeuralPipeline {
     nll: Option<Mlp>,
     train_tail: Option<TimeSeriesFrame>,
     names: Vec<String>,
-    cache: Option<Arc<TransformCache>>,
 }
 
 impl NeuralPipeline {
@@ -1282,7 +1273,6 @@ impl NeuralPipeline {
             nll: None,
             train_tail: None,
             names: Vec::new(),
-            cache: None,
         }
     }
 }
@@ -1292,7 +1282,7 @@ impl Forecaster for NeuralPipeline {
         self.names = frame.names().to_vec();
         let max_lb = frame.len().saturating_sub(self.horizon + 4).max(1);
         self.lookback = self.lookback.min(max_lb);
-        let ds = cached_flatten(self.cache.as_ref(), frame, self.lookback, self.horizon);
+        let ds = flatten_windows(frame, self.lookback, self.horizon);
         if ds.is_empty() {
             return Err(PipelineError::InvalidInput(
                 "series too short for neural windows".into(),
@@ -1397,10 +1387,6 @@ impl Forecaster for NeuralPipeline {
 
     fn clone_unfitted(&self) -> Box<dyn Forecaster> {
         Box::new(Self::new(self.lookback, self.horizon))
-    }
-
-    fn set_transform_cache(&mut self, cache: Option<Arc<TransformCache>>) {
-        self.cache = cache;
     }
 }
 

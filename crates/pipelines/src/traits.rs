@@ -1,8 +1,5 @@
 //! The pipeline-level forecaster contract.
 
-use std::sync::Arc;
-
-use autoai_transforms::TransformCache;
 use autoai_tsdata::{Metric, TimeSeriesFrame};
 
 /// Errors surfaced by pipeline fitting and prediction.
@@ -67,14 +64,6 @@ pub trait Forecaster: Send + Sync {
     /// the executor enforces the deadline cooperatively between allocations
     /// regardless of whether the pipeline honors the hint.
     fn set_time_budget(&mut self, _budget: Option<std::time::Duration>) {}
-
-    /// Hand the pipeline a shared [`TransformCache`] so its windowing and
-    /// stateless-transform passes can be memoized across the pipeline pool.
-    /// `None` detaches the cache. The default implementation ignores the
-    /// cache — only pipelines whose transforms are pure functions of the
-    /// input frame should opt in, and they must treat every cache miss
-    /// (`None` return from cache lookups) as "compute it yourself".
-    fn set_transform_cache(&mut self, _cache: Option<Arc<TransformCache>>) {}
 
     /// Warm-started refit: `frame` extends the data of this pipeline's
     /// previous successful `fit` call (under T-Daub's reverse allocations

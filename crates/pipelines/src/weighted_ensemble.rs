@@ -8,9 +8,6 @@
 //! so a valid ensemble interval is built from valid member intervals
 //! without re-validation surprises.
 
-use std::sync::Arc;
-
-use autoai_transforms::TransformCache;
 use autoai_tsdata::TimeSeriesFrame;
 
 use crate::interval::{IntervalForecast, IntervalSource};
@@ -160,12 +157,6 @@ impl Forecaster for EnsembleForecaster {
     fn set_time_budget(&mut self, budget: Option<std::time::Duration>) {
         for (p, _) in self.members.iter_mut() {
             p.set_time_budget(budget);
-        }
-    }
-
-    fn set_transform_cache(&mut self, cache: Option<Arc<TransformCache>>) {
-        for (p, _) in self.members.iter_mut() {
-            p.set_transform_cache(cache.clone());
         }
     }
 }

@@ -5,15 +5,12 @@
 //! trained; multi-step forecasts are produced recursively by feeding
 //! predictions back into the window.
 
-use std::sync::Arc;
-
 use autoai_ml_models::{
     KernelRidgeSvr, MultiOutputRegressor, RandomForestConfig, RandomForestRegressor, Regressor,
 };
-use autoai_transforms::{latest_window, TransformCache};
+use autoai_transforms::{flatten_windows, latest_window};
 use autoai_tsdata::TimeSeriesFrame;
 
-use crate::caching::cached_flatten;
 use crate::traits::{Forecaster, PipelineError};
 
 /// Which regressor backs the window pipeline (determines the display name).
@@ -34,7 +31,6 @@ pub struct WindowRegressorPipeline {
     model: Option<MultiOutputRegressor>,
     train_tail: Option<TimeSeriesFrame>,
     names: Vec<String>,
-    cache: Option<Arc<TransformCache>>,
 }
 
 impl WindowRegressorPipeline {
@@ -53,7 +49,6 @@ impl WindowRegressorPipeline {
             model: None,
             train_tail: None,
             names: Vec::new(),
-            cache: None,
         }
     }
 
@@ -67,7 +62,6 @@ impl WindowRegressorPipeline {
             model: None,
             train_tail: None,
             names: Vec::new(),
-            cache: None,
         }
     }
 
@@ -81,7 +75,6 @@ impl WindowRegressorPipeline {
             model: None,
             train_tail: None,
             names: Vec::new(),
-            cache: None,
         }
     }
 }
@@ -91,7 +84,7 @@ impl Forecaster for WindowRegressorPipeline {
         self.names = frame.names().to_vec();
         let max_lb = frame.len().saturating_sub(5).max(1);
         self.lookback = self.lookback.min(max_lb);
-        let ds = cached_flatten(self.cache.as_ref(), frame, self.lookback, 1);
+        let ds = flatten_windows(frame, self.lookback, 1);
         if ds.is_empty() {
             return Err(PipelineError::InvalidInput(format!(
                 "series of length {} too short for lookback {}",
@@ -153,12 +146,7 @@ impl Forecaster for WindowRegressorPipeline {
             model: None,
             train_tail: None,
             names: Vec::new(),
-            cache: None,
         })
-    }
-
-    fn set_transform_cache(&mut self, cache: Option<Arc<TransformCache>>) {
-        self.cache = cache;
     }
 }
 

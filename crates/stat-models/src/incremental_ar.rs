@@ -6,7 +6,7 @@
 //! allocation; this model maintains its moment sums incrementally so a
 //! refit after growth costs only O(added·p) — **and produces bit-identical
 //! coefficients to a from-scratch fit**, which the executor's
-//! cached-vs-uncached ranking guarantees require.
+//! warm-vs-cold ranking guarantees require.
 //!
 //! Bit-exactness under floating point comes from *end-aligned blocked
 //! summation* ([`BlockedSum`]): every moment is the ordered sum of fixed

@@ -16,10 +16,10 @@
 //! * **a per-unit hard deadline** — with a hard deadline set, every round
 //!   runs through `autoai_linalg::supervised_try_map`: a monitor thread
 //!   quarantines any unit that exceeds the deadline
-//!   ([`FailureKind::HardTimeout`]), detaching its worker thread and
-//!   retiring its transform-cache epoch so the abandoned zombie can neither
-//!   stall the run nor corrupt shared state — `run_tdaub`'s wall time gets
-//!   a provable upper bound even against `loop {}` in a pipeline;
+//!   ([`FailureKind::HardTimeout`]) and detaches its worker thread; the
+//!   abandoned zombie keeps the pipeline and never touches shared state
+//!   again, so `run_tdaub`'s wall time gets a provable upper bound even
+//!   against `loop {}` in a pipeline;
 //! * **typed failure accounting** — every pipeline's wall time, allocation
 //!   count, and failure (if any) land in an [`ExecutionReport`] that the
 //!   orchestrator surfaces through `core::Progress` and `FitSummary`.
@@ -31,29 +31,25 @@
 //! evaluation sequence, so rankings are order-independent and reproducible.
 //!
 //! On top of the safety policy the executor carries the performance layer:
-//! a shared [`TransformCache`] is re-attached to every pipeline before each
-//! unit of work, so pipelines with the same look-back reuse flattened
-//! design matrices within a fixed-allocation round; under reverse
-//! allocations a candidate whose previous fit is a suffix of the next
-//! allocation is offered a [`Forecaster::fit_incremental`] warm start; and
-//! every successful fit+score unit is memoized per candidate, keyed by the
-//! allocation slice's [`FrameFingerprint`] — re-evaluating a bitwise
+//! every allocation is a zero-copy view of the training frame; under
+//! reverse allocations a candidate whose previous fit is a suffix of the
+//! next allocation is offered a [`Forecaster::fit_incremental`] warm start;
+//! and every successful fit+score unit is memoized per candidate, keyed by
+//! the allocation slice's [`FrameFingerprint`] — re-evaluating a bitwise
 //! identical allocation (the acceleration→scoring phase boundary, or a
 //! stalled acceleration step) replays the recorded score instead of
-//! refitting. All of it is instrumented (cache counters, warm-start count,
-//! fits avoided, duplicate fits, bytes the zero-copy allocation views
-//! avoided) in the [`ExecutionReport`].
+//! refitting. All of it is instrumented (warm-start count, fits avoided,
+//! duplicate fits, bytes the zero-copy allocation views avoided) in the
+//! [`ExecutionReport`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use autoai_linalg::{
     parallel_try_map_mut, simple_linreg, supervised_try_map, SupervisedOutcome, WorkerPanic,
 };
 use autoai_pipelines::{Forecaster, PipelineError};
-use autoai_transforms::{CacheStats, TransformCache};
 use autoai_tsdata::{FrameFingerprint, Metric, TimeSeriesFrame};
 
 /// Why a pipeline was removed from the candidate pool.
@@ -87,6 +83,32 @@ impl std::fmt::Display for FailureKind {
     }
 }
 
+/// Transform-cache counters. Always zero since the shared design-matrix
+/// cache was removed (every pipeline now builds its own windows); kept only
+/// so existing readers of [`ExecutionReport::cache`] and the service stats
+/// keep compiling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups served from an existing entry (always 0).
+    pub hits: u64,
+    /// Lookups that had to build a new entry (always 0).
+    pub misses: u64,
+    /// Bytes of derived data materialized by the cache (always 0).
+    pub bytes_built: u64,
+}
+
+impl CacheStats {
+    /// Fraction of lookups served from cache, in `[0, 1]`; 0 when idle.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits.saturating_add(self.misses);
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
 /// Execution accounting for one pipeline across the whole T-Daub run.
 #[derive(Debug, Clone)]
 pub struct PipelineExecution {
@@ -105,8 +127,7 @@ pub struct PipelineExecution {
 pub struct ExecutionReport {
     /// Accounting entries, in original pool order.
     pub pipelines: Vec<PipelineExecution>,
-    /// Shared transform-cache counters for the run (all zeros when the
-    /// cache was disabled).
+    /// Transform-cache counters; always zero (see [`CacheStats`]).
     pub cache: CacheStats,
     /// Successful `fit_incremental` warm starts across the pool.
     pub incremental_fits: u64,
@@ -184,8 +205,8 @@ pub(crate) struct Candidate {
     /// Per-run fit+score memo: `(allocation fingerprint, score)` for every
     /// unit that fit and scored finitely. Equal fingerprints mean the same
     /// buffers and the same window — bitwise-identical input — so replaying
-    /// the deterministic score is exact and the memo stays on even in the
-    /// uncached comparison modes.
+    /// the deterministic score is exact and the memo stays on in every
+    /// execution mode.
     pub memo: Vec<(FrameFingerprint, f64)>,
     /// Fingerprints of every allocation this candidate's pipeline
     /// successfully fitted (superset of `memo`'s keys: includes fits whose
@@ -292,7 +313,7 @@ impl Candidate {
 pub(crate) fn execution_report(cands: &[Candidate], exec: &Executor<'_>) -> ExecutionReport {
     ExecutionReport {
         pipelines: cands.iter().map(Candidate::execution_entry).collect(),
-        cache: exec.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
+        cache: CacheStats::default(),
         incremental_fits: exec.incremental_fits.load(Ordering::Relaxed),
         fits_avoided: exec.fits_avoided.load(Ordering::Relaxed),
         duplicate_fits: exec.duplicate_fits.load(Ordering::Relaxed),
@@ -378,7 +399,6 @@ struct UnitSpec {
     warm_eligible: bool,
     previous_rows: usize,
     remaining: Option<Duration>,
-    cache: Option<Arc<TransformCache>>,
     retry_transient: u8,
 }
 
@@ -388,9 +408,6 @@ struct UnitSpec {
 /// a hard timeout it stays with the zombie worker forever.
 struct WorkUnit {
     idx: usize,
-    /// Transform-cache work-unit epoch; retired on quarantine so the
-    /// zombie's late cache writes are detected and discarded.
-    epoch: u64,
     pipeline: Box<dyn Forecaster>,
     spec: UnitSpec,
 }
@@ -455,12 +472,10 @@ fn evaluate_unit(pipeline: &mut Box<dyn Forecaster>, spec: &UnitSpec) -> EvalUni
     let slice_bytes = (alloc_len as u64)
         .saturating_mul(spec.slice.n_series() as u64)
         .saturating_mul(8);
-    let cache = spec.cache.clone();
     let start = Instant::now();
     let caught = catch_unwind(AssertUnwindSafe(|| {
         chaos_unit_delay(&pipeline.name(), alloc_len);
         pipeline.set_time_budget(spec.remaining);
-        pipeline.set_transform_cache(cache);
         let mut warm = false;
         let fitted = if spec.warm_eligible {
             match pipeline.fit_incremental(&spec.slice, spec.previous_rows) {
@@ -555,9 +570,6 @@ pub(crate) struct Executor<'a> {
     pub parallel: bool,
     /// Per-pipeline cumulative soft budget; `None` = unlimited.
     pub budget: Option<Duration>,
-    /// Shared transform cache re-attached to every pipeline before each
-    /// unit of work; `None` disables cross-pipeline memoization.
-    pub cache: Option<Arc<TransformCache>>,
     /// Offer warm-started `fit_incremental` refits when a reverse
     /// allocation extends a candidate's previous successful fit.
     pub incremental: bool,
@@ -632,7 +644,6 @@ impl Executor<'_> {
             warm_eligible,
             previous_rows: c.last_fit_rows,
             remaining: self.remaining(c.train_time),
-            cache: self.cache.clone(),
             slice,
             fp,
             retry_transient: self.retry_transient,
@@ -743,11 +754,9 @@ impl Executor<'_> {
     /// monitor enforces `hard` per unit: a unit that blows the deadline
     /// loses its worker thread (detached, never joined) *and* its pipeline
     /// (the candidate keeps a [`Tombstone`] and is quarantined as
-    /// [`FailureKind::HardTimeout`]), and its transform-cache epoch is
-    /// retired so any late cache writes from the zombie are detected and
-    /// discarded. Memo replays and the recorded outcome sequence are
-    /// identical to the unsupervised paths, so the watchdog never changes a
-    /// surviving pipeline's ranking.
+    /// [`FailureKind::HardTimeout`]). Memo replays and the recorded outcome
+    /// sequence are identical to the unsupervised paths, so the watchdog
+    /// never changes a surviving pipeline's ranking.
     fn run_round_supervised(&self, cands: &mut [Candidate], alloc_len: usize, hard: Duration) {
         let mut units: Vec<WorkUnit> = Vec::new();
         for (idx, c) in cands.iter_mut().enumerate() {
@@ -763,11 +772,9 @@ impl Executor<'_> {
                 continue;
             }
             let spec = self.unit_spec(slice, fp, c);
-            let epoch = self.cache.as_ref().map_or(0, |cache| cache.begin_unit());
             let name = c.name.clone();
             units.push(WorkUnit {
                 idx,
-                epoch,
                 pipeline: std::mem::replace(&mut c.pipeline, Box::new(Tombstone { name })),
                 spec,
             });
@@ -780,20 +787,11 @@ impl Executor<'_> {
         } else {
             1
         };
-        let keys: Vec<(usize, u64)> = units.iter().map(|u| (u.idx, u.epoch)).collect();
+        let keys: Vec<usize> = units.iter().map(|u| u.idx).collect();
         let outcomes = supervised_try_map(units, hard, workers, |u: &mut WorkUnit| {
-            // announce the unit's epoch so cache writes from this thread
-            // can be discarded if the watchdog retires the unit mid-flight
-            if let Some(cache) = u.spec.cache.as_ref() {
-                cache.enter_unit(u.epoch);
-            }
-            let unit = evaluate_unit_with_retry(&mut u.pipeline, &u.spec);
-            if let Some(cache) = u.spec.cache.as_ref() {
-                cache.exit_unit();
-            }
-            unit
+            evaluate_unit_with_retry(&mut u.pipeline, &u.spec)
         });
-        for (outcome, (idx, epoch)) in outcomes.into_iter().zip(keys) {
+        for (outcome, idx) in outcomes.into_iter().zip(keys) {
             let Some(c) = cands.get_mut(idx) else {
                 continue;
             };
@@ -809,9 +807,6 @@ impl Executor<'_> {
                     self.apply(c, alloc_len, unit);
                 }
                 SupervisedOutcome::HardTimeout => {
-                    if let Some(cache) = self.cache.as_ref() {
-                        cache.retire_unit(epoch);
-                    }
                     // charge the full hard deadline: that is the wall time
                     // the run verifiably spent waiting on this unit
                     let mut unit = EvalUnit::failed(FailureKind::HardTimeout);
@@ -829,11 +824,7 @@ impl Executor<'_> {
         pipeline: &mut Box<dyn Forecaster>,
         train: &TimeSeriesFrame,
     ) -> Result<(), PipelineError> {
-        let cache = self.cache.clone();
-        match catch_unwind(AssertUnwindSafe(|| {
-            pipeline.set_transform_cache(cache);
-            pipeline.fit(train)
-        })) {
+        match catch_unwind(AssertUnwindSafe(|| pipeline.fit(train))) {
             Ok(result) => result,
             Err(payload) => Err(PipelineError::Crashed(payload_message(payload.as_ref()))),
         }
@@ -843,6 +834,7 @@ impl Executor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     struct Always(f64);
     impl Forecaster for Always {
@@ -923,7 +915,6 @@ mod tests {
             reverse: true,
             parallel,
             budget,
-            cache: None,
             incremental: false,
             hard_deadline: None,
             chaos_start: 0,

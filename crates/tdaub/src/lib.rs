@@ -24,5 +24,5 @@ pub mod executor;
 pub mod runner;
 
 pub use ensemble::{greedy_select, EnsembleMember, EnsembleSelection};
-pub use executor::{ExecutionReport, FailureKind, PipelineExecution};
-pub use runner::{run_tdaub, run_tdaub_with_cache, PipelineReport, TDaubConfig, TDaubResult};
+pub use executor::{CacheStats, ExecutionReport, FailureKind, PipelineExecution};
+pub use runner::{run_tdaub, PipelineReport, TDaubConfig, TDaubResult};

@@ -2,11 +2,9 @@
 //! fault-isolated, budgeted [`executor`](crate::executor).
 
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use autoai_pipelines::{Forecaster, PipelineError};
-use autoai_transforms::TransformCache;
 use autoai_tsdata::{Metric, TimeSeriesFrame};
 
 use crate::ensemble::{greedy_select, EnsembleSelection};
@@ -65,11 +63,6 @@ pub struct TDaubConfig {
     /// set and the orchestrator degrades the run to
     /// `DegradationLevel::Survivors`. `None` (default) = unlimited.
     pub run_hard_deadline: Option<Duration>,
-    /// Share one [`TransformCache`] across the pool so pipelines with the
-    /// same look-back reuse flattened design matrices within a round.
-    /// `false` gives the uncached comparison mode used by benches and the
-    /// isolation suite; rankings are identical either way.
-    pub transform_cache: bool,
     /// Offer warm-started [`Forecaster::fit_incremental`] refits when a
     /// reverse allocation extends a candidate's previous fit. Cheap models
     /// (tier 1: ZeroModel, SeasonalNaive, AR, Theta) only accept when the
@@ -124,7 +117,6 @@ impl Default for TDaubConfig {
             pipeline_time_budget: None,
             pipeline_hard_deadline: None,
             run_hard_deadline: None,
-            transform_cache: true,
             incremental: true,
             ensemble_top_k: 3,
             ensemble_rounds: 8,
@@ -192,22 +184,6 @@ pub fn run_tdaub(
     train: &TimeSeriesFrame,
     config: &TDaubConfig,
 ) -> Result<TDaubResult, PipelineError> {
-    run_tdaub_with_cache(pipelines, train, config, None)
-}
-
-/// [`run_tdaub`] with a caller-owned [`TransformCache`] shared **across**
-/// runs. A long-lived service passes the same cache for every request on the
-/// same series, so flattened design matrices built by one run are reused by
-/// the next when the frame fingerprints extend (same buffers, grown tail).
-/// `None` falls back to the per-run cache governed by
-/// [`TDaubConfig::transform_cache`]. The cache affects wall time only —
-/// rankings are identical with or without it.
-pub fn run_tdaub_with_cache(
-    pipelines: Vec<Box<dyn Forecaster>>,
-    train: &TimeSeriesFrame,
-    config: &TDaubConfig,
-    shared_cache: Option<Arc<TransformCache>>,
-) -> Result<TDaubResult, PipelineError> {
     if pipelines.is_empty() {
         return Err(PipelineError::InvalidInput(
             "run_tdaub requires at least one pipeline".into(),
@@ -267,12 +243,6 @@ pub fn run_tdaub_with_cache(
         reverse: config.reverse_allocation,
         parallel: config.parallel,
         budget: config.pipeline_time_budget,
-        cache: shared_cache.or_else(|| {
-            config
-                .transform_cache
-                .then(TransformCache::new)
-                .map(Arc::new)
-        }),
         incremental: config.incremental,
         retry_transient: config.retry_transient,
         hard_deadline,

@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod cache;
 pub mod conformal;
 pub mod detect;
 pub mod resample;
@@ -27,7 +26,6 @@ pub mod stateless;
 pub mod traits;
 pub mod window;
 
-pub use cache::{hit_mismatches, set_hit_verification, CacheStats, TransformCache};
 pub use conformal::ConformalScores;
 pub use detect::{detect_all, Detection, Detector};
 pub use resample::{downsample, resample_to_regular, upsample_linear};

@@ -19,9 +19,7 @@
 //! The kernels here are the T-Daub hot loop: every (pipeline × allocation)
 //! unit runs one of them. They are written index-free (iterator chunks and
 //! checked `get` ranges instead of `[]` subscripts) so the tscheck strict
-//! rules apply, and [`fill_flatten_rows`] exposes the row-filling core so
-//! the [`crate::cache::TransformCache`] can extend a cached design matrix
-//! with only the rows a grown allocation adds.
+//! rules apply.
 
 use autoai_linalg::Matrix;
 use autoai_tsdata::TimeSeriesFrame;
@@ -48,51 +46,11 @@ impl WindowDataset {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Total size of the dataset's matrices in bytes (8 bytes per cell).
-    /// Used by the transform cache to account for copies avoided.
-    pub fn bytes(&self) -> u64 {
-        fn matrix_bytes(m: &Matrix) -> u64 {
-            (m.nrows() as u64) * (m.ncols() as u64) * 8
-        }
-        matrix_bytes(&self.x)
-            + matrix_bytes(&self.y)
-            + self.anchors.as_ref().map_or(0, matrix_bytes)
-    }
 }
 
 /// Number of complete (look-back, horizon) windows that fit `len` samples.
 pub fn n_windows(len: usize, lookback: usize, horizon: usize) -> usize {
     (len + 1).saturating_sub(lookback + horizon)
-}
-
-/// Fill rows of `x`/`y` with consecutive flatten windows of `frame`,
-/// starting at window index `w_first`. The iterators bound how many rows
-/// are written; every yielded row slice must have the flatten layout
-/// (`lookback * n_series` feature columns, `horizon * n_series` targets).
-/// This is the shared core of [`flatten_windows`] and the incremental
-/// design-matrix extension in the transform cache.
-pub(crate) fn fill_flatten_rows<'a>(
-    frame: &TimeSeriesFrame,
-    lookback: usize,
-    horizon: usize,
-    w_first: usize,
-    x_rows: impl Iterator<Item = &'a mut [f64]>,
-    y_rows: impl Iterator<Item = &'a mut [f64]>,
-) {
-    for (i, (xr, yr)) in x_rows.zip(y_rows).enumerate() {
-        let w = w_first + i;
-        for (chunk, col) in xr.chunks_mut(lookback).zip(frame.series_iter()) {
-            if let Some(src) = col.get(w..w + lookback) {
-                chunk.copy_from_slice(src);
-            }
-        }
-        for (chunk, col) in yr.chunks_mut(horizon).zip(frame.series_iter()) {
-            if let Some(src) = col.get(w + lookback..w + lookback + horizon) {
-                chunk.copy_from_slice(src);
-            }
-        }
-    }
 }
 
 /// Flatten transform: joint windows over all series.
@@ -109,14 +67,18 @@ pub fn flatten_windows(frame: &TimeSeriesFrame, lookback: usize, horizon: usize)
     let s = frame.n_series();
     let mut x = Matrix::zeros(count, lookback.saturating_mul(s));
     let mut y = Matrix::zeros(count, horizon.saturating_mul(s));
-    fill_flatten_rows(
-        frame,
-        lookback,
-        horizon,
-        0,
-        x.rows_iter_mut(),
-        y.rows_iter_mut(),
-    );
+    for (w, (xr, yr)) in x.rows_iter_mut().zip(y.rows_iter_mut()).enumerate() {
+        for (chunk, col) in xr.chunks_mut(lookback).zip(frame.series_iter()) {
+            if let Some(src) = col.get(w..w + lookback) {
+                chunk.copy_from_slice(src);
+            }
+        }
+        for (chunk, col) in yr.chunks_mut(horizon).zip(frame.series_iter()) {
+            if let Some(src) = col.get(w + lookback..w + lookback + horizon) {
+                chunk.copy_from_slice(src);
+            }
+        }
+    }
     WindowDataset {
         x,
         y,
@@ -273,29 +235,6 @@ mod tests {
         let w = latest_window(&frame(), 3).unwrap();
         assert_eq!(w, vec![4., 5., 6., 40., 50., 60.]);
         assert!(latest_window(&frame(), 10).is_none());
-    }
-
-    #[test]
-    fn dataset_bytes_counts_all_matrices() {
-        let ds = flatten_windows(&frame(), 3, 2);
-        // x: 2x6, y: 2x4 → (12 + 8) * 8 bytes
-        assert_eq!(ds.bytes(), 160);
-        let nds = normalized_flatten_windows(&frame(), 3, 2);
-        // anchors add 2x2 cells
-        assert_eq!(nds.bytes(), 160 + 32);
-    }
-
-    #[test]
-    fn fill_rows_with_offset_matches_full_build() {
-        let f = frame();
-        let full = flatten_windows(&f, 2, 1);
-        let mut x = Matrix::zeros(2, 4);
-        let mut y = Matrix::zeros(2, 2);
-        // fill only windows 2 and 3
-        fill_flatten_rows(&f, 2, 1, 2, x.rows_iter_mut(), y.rows_iter_mut());
-        assert_eq!(x.row(0), full.x.row(2));
-        assert_eq!(x.row(1), full.x.row(3));
-        assert_eq!(y.row(1), full.y.row(3));
     }
 
     #[test]

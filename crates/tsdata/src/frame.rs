@@ -461,7 +461,7 @@ impl TimeSeriesFrame {
 
     /// True when this frame shares at least one column buffer with `other`
     /// (i.e. one is a zero-copy view derived from the other). Diagnostic
-    /// helper for tests and cache instrumentation.
+    /// helper for tests.
     pub fn shares_storage_with(&self, other: &TimeSeriesFrame) -> bool {
         self.columns
             .iter()

@@ -29,7 +29,7 @@
 //!    flagged ([`check_locks`]), and no guard may be held across a
 //!    `parallel_*`/`supervised_try_map`/`spawn`/`scope`/`join` call.
 //! 7. **Determinism** (`hash-iter`, `wall-clock`, `trunc-cast`): iteration
-//!    over `HashMap`/`HashSet` in ranking/report/cache paths
+//!    over `HashMap`/`HashSet` in ranking/report paths
 //!    ([`Config::hash_iter_paths`]), `Instant::now`/`SystemTime::now`
 //!    outside the budget/watchdog whitelist ([`Config::clock_paths`]), and
 //!    truncating casts on length-like values are all flagged — these are
@@ -182,7 +182,7 @@ pub struct Config {
     pub strict: bool,
     /// Repo-relative path prefixes held to the strict rules: the T-Daub
     /// execution engine, the parallel work queue, the windowing kernels,
-    /// the stat-model fit recursions, the registry/cache layers, and the
+    /// the stat-model fit recursions, the registries, and the
     /// long-lived forecasting service front end, where an out-of-bounds
     /// index, a re-raised worker panic, or an overflowing capacity
     /// computation would take down a whole AutoML run.
@@ -193,8 +193,8 @@ pub struct Config {
     /// purpose is timing.
     pub clock_paths: Vec<String>,
     /// Determinism-critical path prefixes where iteration over
-    /// `HashMap`/`HashSet` is flagged: ranking, reports, and cache stats
-    /// must never depend on hash-iteration order.
+    /// `HashMap`/`HashSet` is flagged: rankings and reports must never
+    /// depend on hash-iteration order.
     pub hash_iter_paths: Vec<String>,
     /// Path prefixes exempt from [`Rule::RawLock`] — the `linalg::sync`
     /// module itself, which wraps the raw primitives.
@@ -246,7 +246,6 @@ impl Default for Config {
                 "crates/stat-models/src/simple.rs".to_string(),
                 "crates/stat-models/src/garch.rs".to_string(),
                 "crates/stat-models/src/incremental_ar.rs".to_string(),
-                "crates/pipelines/src/caching.rs".to_string(),
                 "crates/pipelines/src/registry.rs".to_string(),
                 "crates/pipelines/src/interval.rs".to_string(),
                 "crates/pipelines/src/weighted_ensemble.rs".to_string(),
@@ -267,7 +266,6 @@ impl Default for Config {
             ],
             hash_iter_paths: vec![
                 "crates/tdaub/src/".to_string(),
-                "crates/transforms/src/cache.rs".to_string(),
                 "crates/core/src/".to_string(),
                 "crates/pipelines/src/".to_string(),
                 "crates/linalg/src/par.rs".to_string(),
@@ -277,7 +275,6 @@ impl Default for Config {
             chaos_sites: [
                 "service.submit",
                 "executor.unit",
-                "cache.flatten",
                 "pipeline.fit",
                 "pipeline.predict",
                 "predict.interval",

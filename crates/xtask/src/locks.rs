@@ -4,9 +4,9 @@
 //! An *acquisition* is the token pattern `name . lock ( )` (or `.read()` /
 //! `.write()` with empty argument lists, which distinguishes lock guards
 //! from `io::Read::read`-style calls that always take a buffer). The lock's
-//! order class is the identifier before the dot — `self.datasets.lock()`
-//! is the class `datasets`, matching the `OrderedMutex` naming convention
-//! (`"cache.datasets"`).
+//! order class is the identifier before the dot — `self.service_models.lock()`
+//! is the class `service_models`, matching the `OrderedMutex` naming
+//! convention (`"service.models"`).
 //!
 //! The *extent* of a guard — the token range over which it is held — is
 //! derived structurally:

@@ -9,8 +9,8 @@
 //! as `path:line [rule] message`, and exits non-zero when anything fired.
 //!
 //! * `--strict` additionally holds the hot-path files (the T-Daub execution
-//!   engine, the parallel work queue, the stat-model fit loops, and the
-//!   registry/cache layers) to the strict rule family.
+//!   engine, the parallel work queue, the stat-model fit loops, the
+//!   registries and the service front end) to the strict rule family.
 //! * `--json` emits the violation list as a JSON array on stdout instead of
 //!   the human format, for tooling.
 //! * `--timing` reports per-phase wall time (walk / lex+scan / lock graph /

@@ -1,8 +1,8 @@
 //! The chaos gauntlet: seeded fault plans driven through the whole stack.
 //!
 //! The deterministic chaos layer (`autoai_chaos`) injects panics, typed
-//! errors, NaN forecasts and delays at named sites inside the pipelines,
-//! the transform cache and the executor. This suite sweeps **over a
+//! errors, NaN forecasts and delays at named sites inside the pipelines
+//! and the executor. This suite sweeps **over a
 //! hundred seeded plans** and holds the system to its robustness
 //! contract:
 //!
@@ -11,8 +11,6 @@
 //! * serial and parallel runs agree bit-for-bit on the survivors under
 //!   the *same* plan (injection is a pure function of seed, site and key,
 //!   never of thread interleaving);
-//! * a cache hit never serves bytes that differ from a fault-free rebuild
-//!   (process-wide hit verification stays at zero mismatches);
 //! * `AutoAITS::fit` *always* returns a working forecaster, walking the
 //!   degradation ladder down to the ZeroModel baseline at worst;
 //! * an empty plan is invisible: zero injected faults and bit-identical
@@ -44,7 +42,6 @@ use autoai_ts_repro::pipelines::{
     IntervalSource, PipelineContext,
 };
 use autoai_ts_repro::tdaub::{run_tdaub, TDaubConfig, TDaubResult};
-use autoai_ts_repro::transforms;
 use autoai_ts_repro::tsdata::{self, TimeSeriesFrame};
 
 static GATE: Mutex<()> = Mutex::new(());
@@ -97,7 +94,6 @@ fn a_hundred_seeded_plans_never_hang_and_agree_serial_vs_parallel() {
     let _gate = GATE.lock().unwrap();
     let frame = wavy(160);
     lock_sync::set_runtime_tracking(true);
-    transforms::set_hit_verification(true);
     let mut failed_runs = 0usize;
     let mut injected_total = 0u64;
     for seed in 0..110u64 {
@@ -120,11 +116,8 @@ fn a_hundred_seeded_plans_never_hang_and_agree_serial_vs_parallel() {
             ),
         }
     }
-    let mismatches = transforms::hit_mismatches();
-    transforms::set_hit_verification(false);
     let inversions = lock_sync::inversion_count();
     lock_sync::set_runtime_tracking(false);
-    assert_eq!(mismatches, 0, "a cache hit served stale bytes");
     assert_eq!(inversions, 0, "the sweep recorded a lock-order inversion");
     assert!(injected_total > 0, "the sweep never fired a single fault");
     assert!(failed_runs < 110, "every seeded run failed");
@@ -439,8 +432,8 @@ fn service_submissions_absorb_faults_and_hold_lock_order() {
     assert_eq!(inversions, 0, "the sweep recorded a lock-order inversion");
 }
 
-/// Bit-exact outcome signature for a service fit report (cache counters
-/// excluded: the cache affects wall time, never results).
+/// Bit-exact outcome signature for a service fit report (work counters and
+/// reuse flags excluded).
 fn fit_signature(
     r: &autoai_ts_repro::core_ts::ServiceFitReport,
 ) -> (String, Vec<(String, u64)>, u64, DegradationLevel) {
@@ -459,7 +452,6 @@ fn fit_signature(
 fn mid_observe_faults_degrade_never_corrupt_across_150_plans() {
     let _gate = GATE.lock().unwrap();
     lock_sync::set_runtime_tracking(true);
-    transforms::set_hit_verification(true);
     let base: Vec<Vec<f64>> = (0..120)
         .map(|i| vec![20.0 + 4.0 * (2.0 * std::f64::consts::PI * i as f64 / 12.0).sin()])
         .collect();
@@ -577,11 +569,8 @@ fn mid_observe_faults_degrade_never_corrupt_across_150_plans() {
             "seed {seed}: a clean fit after faults is not bit-identical"
         );
     }
-    let mismatches = transforms::hit_mismatches();
-    transforms::set_hit_verification(false);
     let inversions = lock_sync::inversion_count();
     lock_sync::set_runtime_tracking(false);
-    assert_eq!(mismatches, 0, "a cache hit served stale bytes");
     assert_eq!(inversions, 0, "the sweep recorded a lock-order inversion");
     assert!(injected_total > 0, "the sweep never fired a single fault");
     assert!(

@@ -4,9 +4,9 @@
 //! Selection runs on predictions from the candidates' already-fitted
 //! states, so it must be invisible to everything else: the ranking is
 //! bit-identical with ensembling on or off, the selected ensemble is
-//! bit-identical across serial/parallel and cached/uncached executions
+//! bit-identical across serial/parallel and warm/cold executions
 //! (tier-1 warm-start pipelines only — tier-2 seeded restarts are
-//! deterministic but not bit-identical across cache modes), the blended
+//! deterministic but not bit-identical to cold fits), the blended
 //! holdout score never loses to the best single survivor, and the
 //! `duplicate_fits == 0` invariant survives the new phase.
 
@@ -26,7 +26,7 @@ fn frame(n: usize) -> TimeSeriesFrame {
     TimeSeriesFrame::from_columns(vec![a, b])
 }
 
-/// Tier-1 pool: bit-identical fits across every execution/cache mode.
+/// Tier-1 pool: bit-identical fits across every execution/warm-start mode.
 fn pool() -> Vec<Box<dyn Forecaster>> {
     let ctx = PipelineContext::new(8, 6, vec![12]);
     ["ZeroModel", "SeasonalNaive", "AR", "Theta"]
@@ -35,13 +35,12 @@ fn pool() -> Vec<Box<dyn Forecaster>> {
         .collect()
 }
 
-fn config(parallel: bool, cached: bool) -> TDaubConfig {
+fn config(parallel: bool, incremental: bool) -> TDaubConfig {
     TDaubConfig {
         min_allocation_size: 40,
         allocation_size: 40,
         parallel,
-        transform_cache: cached,
-        incremental: cached,
+        incremental,
         ..Default::default()
     }
 }
@@ -104,10 +103,10 @@ fn weights_sum_to_one_and_never_lose_to_best_single() {
 fn selection_is_bit_identical_across_execution_and_cache_modes() {
     let data = frame(260);
     let runs: Vec<TDaubResult> = [
-        config(false, false), // serial, uncached
-        config(false, true),  // serial, cached + warm starts
-        config(true, false),  // parallel, uncached
-        config(true, true),   // parallel, cached + warm starts
+        config(false, false), // serial, cold
+        config(false, true),  // serial, warm starts
+        config(true, false),  // parallel, cold
+        config(true, true),   // parallel, warm starts
     ]
     .into_iter()
     .map(|cfg| run_tdaub(pool(), &data, &cfg).expect("run"))

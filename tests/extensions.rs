@@ -57,11 +57,12 @@ fn prediction_intervals_cover_a_noisy_truth() {
         ..Default::default()
     });
     sys.fit(&TimeSeriesFrame::univariate(train)).unwrap();
-    let iv = sys.predict_with_interval(12, 1.96).unwrap();
-    let covered = iv[0]
+    let iv = sys.predict_interval(12, &[0.95]).unwrap();
+    let (lo, hi) = iv.band(0).expect("95% band");
+    let covered = truth
         .iter()
-        .zip(truth)
-        .filter(|&(&(_, lo, hi), &t)| lo <= t && t <= hi)
+        .zip(lo.series(0).iter().zip(hi.series(0)))
+        .filter(|&(t, (l, h))| l <= t && t <= h)
         .count();
     assert!(
         covered >= 9,

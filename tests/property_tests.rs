@@ -7,6 +7,8 @@
 
 use autoai_ts_repro::linalg;
 use autoai_ts_repro::linalg::{parallel_try_map_range, Rng64};
+use autoai_ts_repro::pipelines::{pipeline_by_name, Forecaster, PipelineContext};
+use autoai_ts_repro::tdaub::{run_tdaub, TDaubConfig, TDaubResult};
 use autoai_ts_repro::transforms::{
     flatten_windows, localized_flatten_windows, normalized_flatten_windows, DifferenceTransform,
     LogTransform, MinMaxScaler, StandardScaler, Transform,
@@ -342,6 +344,195 @@ fn matrix_gram_is_symmetric_psd_diag() {
             for j in 0..3 {
                 assert!((g[(i, j)] - g[(j, i)]).abs() < 1e-9);
             }
+        }
+    }
+}
+
+// ---- zero-copy views and warm starts ----------------------------------
+//
+// Neither layer may be observable in results: a view scores like a copy,
+// and T-Daub ranks a pool the same with warm starts on or off. The
+// warm-start contract is two-tier (see `Forecaster::fit_incremental`):
+// tier-1 pipelines (ZeroModel, SeasonalNaive, AR, and Theta, whose seeded
+// restart re-sweeps its full α grid) must be **bit-identical** with warm
+// starts on vs off, while tier-2 pipelines (Holt-Winters, ARIMA, BATS, the
+// AutoEnsembler family) run deterministic seeded restarts and must keep
+// the **ranking** unchanged.
+
+fn random_frame(rng: &mut Rng64, min_len: usize, max_len: usize) -> TimeSeriesFrame {
+    let n = rng.gen_range(min_len..max_len);
+    let cols = rng.gen_range(1..4);
+    TimeSeriesFrame::from_columns(
+        (0..cols)
+            .map(|c| {
+                (0..n)
+                    .map(|i| {
+                        10.0 * (c + 1) as f64 + (i as f64 * 0.37).sin() + rng.range_f64(-0.5, 0.5)
+                    })
+                    .collect()
+            })
+            .collect(),
+    )
+}
+
+/// Bitwise equality of two frames (`to_bits` per cell, so even a NaN-bit
+/// or signed-zero divergence fails).
+fn frames_bit_equal(a: &TimeSeriesFrame, b: &TimeSeriesFrame) -> bool {
+    a.len() == b.len()
+        && a.n_series() == b.n_series()
+        && a.series_iter().zip(b.series_iter()).all(|(x, y)| {
+            x.iter()
+                .zip(y.iter())
+                .all(|(u, v)| u.to_bits() == v.to_bits())
+        })
+}
+
+#[test]
+fn view_slice_equals_copy_slice() {
+    let mut rng = Rng64::seed_from_u64(0x511CE);
+    for _ in 0..64 {
+        let f = random_frame(&mut rng, 8, 80);
+        let n = f.len();
+        let a = rng.gen_range(0..n - 1);
+        let b = rng.gen_range(a + 1..n + 1);
+        let view = f.slice(a, b);
+        let copy = TimeSeriesFrame::from_columns(
+            f.series_iter()
+                .map(|col| col.get(a..b).expect("bounds checked").to_vec())
+                .collect(),
+        );
+        assert!(frames_bit_equal(&view, &copy), "slice({a}, {b}) of len {n}");
+
+        // a view of a view composes like a copy of a copy
+        let len = view.len();
+        let c = rng.gen_range(0..len);
+        let d = rng.gen_range(c..len + 1);
+        assert!(
+            frames_bit_equal(&view.slice(c, d), &copy.slice(c, d)),
+            "nested slice({c}, {d}) of slice({a}, {b})"
+        );
+    }
+}
+
+/// Ranking signature with bit-exact scores.
+fn signature(r: &TDaubResult) -> Vec<(String, u64, u64)> {
+    r.reports
+        .iter()
+        .map(|rep| {
+            (
+                rep.name.clone(),
+                rep.projected_score.to_bits(),
+                rep.final_score.unwrap_or(f64::NAN).to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// Tier-1 bit-exactness: pools restricted to pipelines whose warm starts
+/// are bit-identical to full refits (plus pipelines with no warm start at
+/// all, which always cold-fit) must produce bit-identical score signatures
+/// with warm starts on vs off, serial or parallel.
+#[test]
+fn warm_and_cold_tdaub_rankings_match_over_random_tier1_pools() {
+    let mut rng = Rng64::seed_from_u64(0x7DAB);
+    let names = ["ZeroModel", "SeasonalNaive", "AR", "Theta", "NeuralWindow"];
+    for case in 0..6 {
+        let ctx = PipelineContext::new(6, 8, vec![8]);
+        let n = rng.gen_range(140..240);
+        let data = random_frame(&mut rng, n, n + 1);
+        let pool_names: Vec<&str> = {
+            let mut picked: Vec<&str> = names.iter().copied().filter(|_| rng.next_bool()).collect();
+            if picked.len() < 2 {
+                picked = vec!["ZeroModel", "NeuralWindow"];
+            }
+            picked
+        };
+        let pool = || -> Vec<Box<dyn Forecaster>> {
+            pool_names
+                .iter()
+                .filter_map(|name| pipeline_by_name(name, &ctx))
+                .collect()
+        };
+        let step = 20 + 10 * rng.gen_range(0..3);
+        let cfg = |incremental: bool, parallel: bool| TDaubConfig {
+            min_allocation_size: step,
+            allocation_size: step,
+            parallel,
+            incremental,
+            ..Default::default()
+        };
+        let reference =
+            signature(&run_tdaub(pool(), &data, &cfg(false, false)).expect("cold serial run"));
+        let warm_parallel = rng.next_bool();
+        let warm = run_tdaub(pool(), &data, &cfg(true, warm_parallel)).expect("warm run");
+        assert_eq!(
+            signature(&warm),
+            reference,
+            "case {case}: pool {pool_names:?}, step {step}, parallel {warm_parallel}"
+        );
+    }
+}
+
+/// Tier-2 rank stability: pools including the seeded-restart pipelines
+/// (Holt-Winters, auto-ARIMA, AutoEnsembler, and BATS with its pinned
+/// component structure) must produce the same
+/// *ranking* — pipeline names in rank order — with warm starts on vs off,
+/// with every projected score finite in both runs. Bit-exact scores are
+/// deliberately not required here: a seeded Nelder–Mead restart converges
+/// to the same optimum along a different path.
+#[test]
+fn warm_started_tdaub_preserves_rankings_for_tier2_pools() {
+    let mut rng = Rng64::seed_from_u64(0x2B7DAB);
+    let tier2 = [
+        "HW-Additive",
+        "HW-Multiplicative",
+        "Arima",
+        "FlattenAutoEnsembler",
+        "bats",
+    ];
+    let tier1 = ["ZeroModel", "AR"];
+    for case in 0..4 {
+        let ctx = PipelineContext::new(6, 8, vec![8]);
+        let n = rng.gen_range(150..220);
+        let data = random_frame(&mut rng, n, n + 1);
+        let pool_names: Vec<&str> = {
+            let mut picked: Vec<&str> = tier2.iter().copied().filter(|_| rng.next_bool()).collect();
+            if picked.is_empty() {
+                picked.push("HW-Additive");
+            }
+            picked.extend(tier1.iter().copied().filter(|_| rng.next_bool()));
+            picked
+        };
+        let pool = || -> Vec<Box<dyn Forecaster>> {
+            pool_names
+                .iter()
+                .filter_map(|name| pipeline_by_name(name, &ctx))
+                .collect()
+        };
+        let step = 25 + 5 * rng.gen_range(0..3);
+        let cfg = |warm: bool| TDaubConfig {
+            min_allocation_size: step,
+            allocation_size: step,
+            parallel: false,
+            incremental: warm,
+            ..Default::default()
+        };
+        let cold = run_tdaub(pool(), &data, &cfg(false)).expect("cold run");
+        let warm = run_tdaub(pool(), &data, &cfg(true)).expect("warm run");
+        let rank = |r: &TDaubResult| -> Vec<String> {
+            r.reports.iter().map(|rep| rep.name.clone()).collect()
+        };
+        assert_eq!(
+            rank(&warm),
+            rank(&cold),
+            "case {case}: pool {pool_names:?}, step {step}"
+        );
+        for rep in warm.reports.iter().chain(cold.reports.iter()) {
+            assert!(
+                rep.projected_score.is_finite(),
+                "case {case}: {} produced a non-finite projected score",
+                rep.name
+            );
         }
     }
 }

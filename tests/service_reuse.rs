@@ -3,8 +3,8 @@
 //! The service contract under test: a stored series grows **in place**
 //! across an `observe` call (the grown fingerprint `extends_as_prefix` the
 //! one the previous fit ran on), and the next fit request on the grown
-//! frame reuses cross-run state — transform-cache entries and warm-started
-//! refits — while ranking bit-identically to a cold fit on an identical
+//! frame reuses cross-run state — warm-started refits and the fingerprint
+//! memo — while ranking bit-identically to a cold fit on an identical
 //! standalone frame. Reuse is a wall-time optimization, never a ranking
 //! input.
 
@@ -21,10 +21,8 @@ fn rows(range: std::ops::Range<usize>) -> Vec<Vec<f64>> {
 }
 
 /// A small pipeline pool that exercises warm starts (HW, SeasonalNaive)
-/// and the window/cache path twice over (WindowRandomForest + WindowSVR
-/// flatten with identical keys, so cache *hits* occur within a run, while
-/// MT2R's distinct horizon exercises extensions across runs) — without
-/// paying for the full registry.
+/// and the window pipelines (WindowRandomForest, WindowSVR, MT2R) —
+/// without paying for the full registry.
 fn service() -> ForecastService {
     ForecastService::new(AutoAITSConfig {
         pipeline_names: Some(vec![
@@ -71,11 +69,6 @@ fn observe_preserves_identity_and_the_next_fit_reuses_cross_run_state() {
         "no warm-started refits: {warm:?}"
     );
     assert_eq!(warm.duplicate_fits, 0, "the fingerprint memo went blind");
-    assert!(warm.cache_hits > 0, "no transform-cache reuse: {warm:?}");
-    assert!(
-        warm.cache_extensions > 0,
-        "no cross-run incremental matrix builds: {warm:?}"
-    );
 
     // rankings must be bit-identical to a cold fit on an identical
     // standalone frame: reuse may only ever change wall time
@@ -112,15 +105,15 @@ fn repeated_observe_fit_cycles_keep_extending() {
         let lo = 288 + step * 12;
         let record = svc.observe("cpu", &rows(lo..lo + 12)).unwrap();
         assert_eq!(record.kind, GrowthKind::InPlace, "cycle {step}: {record:?}");
+        assert_eq!(record.shared_rows, lo, "cycle {step}");
+        assert_eq!(record.grown.rows(), lo + 12, "cycle {step}");
         let report = svc.fit("cpu").unwrap();
         assert!(report.extends_previous_fit, "cycle {step}");
         assert!(!report.reused_model, "cycle {step}");
     }
-    assert_eq!(svc.lineage("cpu").len(), 3);
     let stats = svc.stats();
     assert_eq!(stats.series, 1);
     assert_eq!(stats.models, 1);
-    assert!(stats.cache.hits > 0);
 }
 
 #[test]
