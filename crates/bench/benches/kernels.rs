@@ -1,5 +1,6 @@
 //! Benchmark: the vectorized linalg kernels against naive textbook
-//! references, plus batched vs point-by-point Nelder–Mead.
+//! references, batched vs point-by-point Nelder–Mead, and the
+//! AutoEnsembler tournament's 12-output model fits.
 //!
 //! Plain `std::time` harness (`harness = false`); run with
 //! `cargo bench -p autoai-bench --bench kernels`.
@@ -8,18 +9,30 @@
 //!
 //! * default — full measurement; writes the machine-readable
 //!   `BENCH_kernels.json` at the repo root (per-kernel naive/fast wall
-//!   times and speedups, batched-NM parity and timing).
+//!   times and speedups, batched-NM parity and timing, and the median and
+//!   min/max fit time of 12-output linear / random-forest / boosted
+//!   `MultiOutputRegressor` fits on 100×5 and 300×16 window matrices).
 //! * `--smoke` — reduced sizes, no JSON; asserts every gated kernel
 //!   (matmul, gram, dot) stays ≥ 2× ahead of its naive reference,
 //!   that all kernels agree with the references within a
-//!   reassociation-sized tolerance, and that the batched Nelder–Mead
-//!   path is bitwise identical to the plain one. Exits non-zero on any
-//!   violation; wired into `scripts/check.sh`.
+//!   reassociation-sized tolerance, that the batched Nelder–Mead
+//!   path is bitwise identical to the plain one, that the parallel
+//!   multi-output fit is bitwise identical to a serial per-column loop,
+//!   and that the presorted CART kernel grows bit for bit the tree of a
+//!   naive per-node-sort reference. Exits non-zero on any violation;
+//!   wired into `scripts/check.sh`.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use autoai_linalg::{dot, nelder_mead, nelder_mead_batched, Matrix, NelderMeadOptions, Rng64};
+use autoai_ml_models::{
+    DecisionTreeConfig, DecisionTreeRegressor, GradientBoostingConfig, GradientBoostingRegressor,
+    LinearRegression, MultiOutputRegressor, RandomForestConfig, RandomForestRegressor, Regressor,
+};
+
+#[path = "../../ml-models/tests/reference/mod.rs"]
+mod reference;
 
 // ---- naive references (the pre-optimization loop shapes) ---------------
 
@@ -160,6 +173,102 @@ fn ses_sse_batch(series: &[f64], points: &[Vec<f64>]) -> Vec<f64> {
         }
     }
     sse
+}
+
+// ---- tournament model fits -------------------------------------------
+
+/// Outputs of every tournament fit: the default forecast horizon.
+const OUTPUTS: usize = 12;
+
+/// The AutoEnsembler tournament's candidates with its hyperparameters.
+fn tournament_candidates() -> Vec<Box<dyn Regressor>> {
+    vec![
+        Box::new(LinearRegression::new()),
+        Box::new(RandomForestRegressor::with_config(RandomForestConfig {
+            n_trees: 30,
+            max_depth: 10,
+            ..Default::default()
+        })),
+        Box::new(GradientBoostingRegressor::with_config(
+            GradientBoostingConfig {
+                n_rounds: 60,
+                ..Default::default()
+            },
+        )),
+    ]
+}
+
+/// Direct multi-step windows of a noisy seasonal series: `rows` windows of
+/// `lookback` lags, each with [`OUTPUTS`] targets — the tournament's input.
+fn window_design(rng: &mut Rng64, rows: usize, lookback: usize) -> (Matrix, Matrix) {
+    let series: Vec<f64> = (0..rows + lookback + OUTPUTS)
+        .map(|i| {
+            50.0 + 10.0 * (2.0 * std::f64::consts::PI * i as f64 / 12.0).sin()
+                + rng.range_f64(-3.0, 3.0)
+        })
+        .collect();
+    let window = |from: usize, len: usize| -> Vec<Vec<f64>> {
+        (0..rows)
+            .map(|r| series[r + from..r + from + len].to_vec())
+            .collect()
+    };
+    (
+        Matrix::from_rows(&window(0, lookback)),
+        Matrix::from_rows(&window(lookback, OUTPUTS)),
+    )
+}
+
+/// Median, min and max wall time of `reps` calls to `f`, in milliseconds.
+fn spread_ms(reps: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
+    f(); // warm up
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    (times[times.len() / 2], times[0], times[times.len() - 1])
+}
+
+/// Does the parallel multi-output fit predict bit for bit what a serial
+/// loop of per-column fits predicts?
+fn multi_output_parity(proto: &dyn Regressor, x: &Matrix, y: &Matrix) -> bool {
+    let mut parallel = MultiOutputRegressor::new(proto.clone_unfitted());
+    parallel.fit(x, y).expect("multi-output fit");
+    let batch = parallel.predict(x);
+    (0..y.ncols()).all(|k| {
+        let mut serial = proto.clone_unfitted();
+        serial.fit(x, &y.col(k)).expect("serial fit");
+        (0..x.nrows()).all(|r| serial.predict_row(x.row(r)).to_bits() == batch[(r, k)].to_bits())
+    })
+}
+
+/// Does the presorted CART kernel grow the reference CART's tree on seeded
+/// bootstrap draws over tie-heavy designs, with and without feature
+/// subsampling?
+fn cart_reference_parity(rng: &mut Rng64, cases: usize) -> bool {
+    (0..cases).all(|case| {
+        let n = rng.gen_range(8..160);
+        let d = rng.gen_range(1..17);
+        let x = reference::tied_design(rng, n, d);
+        let y = reference::targets(rng, &x);
+        let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+        let cfg = DecisionTreeConfig {
+            max_depth: rng.gen_range(1..11),
+            min_samples_split: 2,
+            min_samples_leaf: rng.gen_range(1..3),
+            max_features: (case % 2 == 1).then(|| rng.gen_range(1..d + 1)),
+            seed: case as u64,
+        };
+        let want = reference::ReferenceTree::fit(&x, &y, &indices, &cfg);
+        let mut got = DecisionTreeRegressor::with_config(cfg);
+        got.fit_indices(&x, &y, &indices).expect("tree fit");
+        got.n_nodes() == want.n_nodes()
+            && reference::prediction_bits(&x, |r| got.predict_row(r))
+                == reference::prediction_bits(&x, |r| want.predict_row(r))
+    })
 }
 
 fn main() {
@@ -304,6 +413,48 @@ fn main() {
         "batched Nelder-Mead diverged from the plain path: {pv} vs {bv}"
     );
 
+    println!("== tournament model fits ({OUTPUTS} outputs) ==");
+    let cart_parity = cart_reference_parity(&mut rng, if smoke { 40 } else { 200 });
+    println!("presorted CART vs reference CART bitwise parity: {cart_parity}");
+    assert!(
+        cart_parity,
+        "the presorted CART kernel diverged from the reference CART"
+    );
+    let shapes: &[(usize, usize)] = if smoke {
+        &[(100, 5)]
+    } else {
+        &[(100, 5), (300, 16)]
+    };
+    let fit_reps = if smoke { 1 } else { 7 };
+    let mut fit_rows = Vec::new();
+    for &(rows, lookback) in shapes {
+        let (fx, fy) = window_design(&mut rng, rows, lookback);
+        for proto in tournament_candidates() {
+            let parity = multi_output_parity(proto.as_ref(), &fx, &fy);
+            assert!(
+                parity,
+                "parallel {} multi-output fit diverged from the serial loop at {rows}x{lookback}",
+                proto.name()
+            );
+            let (median, min, max) = spread_ms(fit_reps, || {
+                let mut m = MultiOutputRegressor::new(proto.clone_unfitted());
+                m.fit(black_box(&fx), black_box(&fy))
+                    .expect("multi-output fit");
+                black_box(m);
+            });
+            println!(
+                "{rows:>4}x{lookback:<3} {:<18} median {median:>9.3} ms   min {min:>9.3}   max {max:>9.3}   \
+                 bitwise parity: {parity}",
+                proto.name()
+            );
+            fit_rows.push(format!(
+                "      {{\"shape\": [{rows}, {lookback}], \"model\": \"{}\", \"median_ms\": {median:.3}, \
+                 \"min_ms\": {min:.3}, \"max_ms\": {max:.3}, \"bitwise_parity\": {parity}}}",
+                proto.name()
+            ));
+        }
+    }
+
     let min_gated = results
         .iter()
         .filter(|r| r.gated)
@@ -315,7 +466,10 @@ fn main() {
             min_gated >= 2.0,
             "kernel speedup bar not met: {min_gated:.2}x (need 2x)"
         );
-        println!("smoke: kernel speedups >= 2x, references matched, batched NM bit-identical");
+        println!(
+            "smoke: kernel speedups >= 2x, references matched, batched NM bit-identical, \
+             multi-output fits and CART kernel bit-identical to their references"
+        );
         return;
     }
 
@@ -336,8 +490,9 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"matmul_dim\": {mm},\n  \"gram_shape\": [{gram_rows}, {gram_cols}],\n  \"dot_len\": {dot_n},\n  \"reps\": {reps},\n  \"kernels\": [\n{}\n  ],\n  \"min_gated_speedup\": {min_gated:.3},\n  \"nelder_mead\": {{\n    \"series_len\": {series_n},\n    \"plain_ms\": {plain_ms:.4},\n    \"batched_ms\": {batched_ms:.4},\n    \"speedup\": {nm_speedup:.3},\n    \"bitwise_parity\": {nm_parity}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"kernels\",\n  \"matmul_dim\": {mm},\n  \"gram_shape\": [{gram_rows}, {gram_cols}],\n  \"dot_len\": {dot_n},\n  \"reps\": {reps},\n  \"kernels\": [\n{}\n  ],\n  \"min_gated_speedup\": {min_gated:.3},\n  \"nelder_mead\": {{\n    \"series_len\": {series_n},\n    \"plain_ms\": {plain_ms:.4},\n    \"batched_ms\": {batched_ms:.4},\n    \"speedup\": {nm_speedup:.3},\n    \"bitwise_parity\": {nm_parity}\n  }},\n  \"cart_reference_parity\": {cart_parity},\n  \"tournament_fits\": {{\n    \"outputs\": {OUTPUTS},\n    \"reps\": {fit_reps},\n    \"fits\": [\n{}\n    ]\n  }}\n}}\n",
         kernel_json.join(",\n"),
+        fit_rows.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     std::fs::write(path, json).expect("write BENCH_kernels.json");

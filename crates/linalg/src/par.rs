@@ -6,13 +6,13 @@
 //! milliseconds. All parallel primitives in this module now share a single
 //! lazily-initialized pool of parked workers (shared-queue scheduling, one
 //! worker per available core beyond the caller). Work items in this
-//! workspace (pipeline evaluations, tree fits, dataset sweeps) are coarse —
-//! tens of milliseconds to seconds each — but their costs are *skewed*: one
-//! BATS fit can take 100× longer than a Zero Model evaluation. Workers
-//! therefore pull item indices from a shared atomic cursor (work-queue
-//! scheduling) instead of being handed fixed contiguous chunks, so a thread
-//! that drew cheap items keeps helping instead of idling behind the slowest
-//! chunk.
+//! workspace range from per-output model fits and single tree fits of a
+//! few milliseconds to pipeline evaluations and dataset sweeps of seconds,
+//! and their costs are *skewed*: one BATS fit can take 100× longer than a
+//! Zero Model evaluation. Workers therefore pull item indices from a shared
+//! atomic cursor (work-queue scheduling) instead of being handed fixed
+//! contiguous chunks, so a thread that drew cheap items keeps helping
+//! instead of idling behind the slowest chunk.
 //!
 //! Determinism: each item's result lands in a dedicated slot keyed by its
 //! input index, and the mapped closure receives exactly the same `&mut T`
@@ -179,6 +179,9 @@ mod pool {
 
     struct Pool {
         shared: OrderedMutex<Shared>,
+        /// Threads a batch can use: the persistent workers plus the
+        /// submitting caller, fixed at initialization.
+        threads: usize,
     }
 
     static POOL: OnceLock<Arc<Pool>> = OnceLock::new();
@@ -189,6 +192,7 @@ mod pool {
     /// transient spawns whose failure the submitter observes.
     fn get() -> &'static Arc<Pool> {
         POOL.get_or_init(|| {
+            let threads = std::thread::available_parallelism().map_or(1, |v| v.get());
             let p = Arc::new(Pool {
                 shared: OrderedMutex::new(
                     "par.pool",
@@ -198,16 +202,20 @@ mod pool {
                         sleepers: Vec::new(),
                     },
                 ),
+                threads,
             });
-            let base = std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-                .saturating_sub(1);
-            for _ in 0..base {
+            for _ in 1..threads {
                 let _ = spawn_worker(Arc::clone(&p), true);
             }
             p
         })
+    }
+
+    /// The pool's fixed thread count (workers plus the caller). Read once
+    /// at initialization: `available_parallelism` reads cgroup files and
+    /// costs tens of microseconds, too much to pay on every small batch.
+    pub(super) fn threads() -> usize {
+        get().threads
     }
 
     enum Work {
@@ -416,11 +424,7 @@ where
     F: Fn(&mut T) -> R + Sync,
 {
     let n = items.len();
-    let threads = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-        .min(n);
-    if threads <= 1 || n <= 1 {
+    if n <= 1 || pool::threads() <= 1 {
         return items.iter_mut().map(|t| run_caught(&f, t)).collect();
     }
 

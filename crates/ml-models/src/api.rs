@@ -1,6 +1,10 @@
 //! The shared regressor contract and the multi-output adapter.
+//!
+//! [`MultiOutputRegressor`] fits its per-output models on the shared worker
+//! pool: each is a few milliseconds of work (a forest or a boosted ensemble
+//! over a small window matrix), and a horizon-12 forecast needs twelve.
 
-use autoai_linalg::Matrix;
+use autoai_linalg::{parallel_try_map_range, Matrix};
 
 /// Error raised when a model cannot be fitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +58,10 @@ pub trait Regressor: Send + Sync {
 /// Fits one inner regressor per target column — the standard way the
 /// paper's ML pipelines produce multi-step (and multi-series) forecasts from
 /// flattened windows.
+///
+/// The columns are fitted in parallel. Each output's model depends only on
+/// `(x, y.col(k))` and the models land in column order, so the fitted
+/// state is bit-identical to fitting the columns one after another.
 pub struct MultiOutputRegressor {
     prototype: Box<dyn Regressor>,
     fitted: Vec<Box<dyn Regressor>>,
@@ -68,7 +76,9 @@ impl MultiOutputRegressor {
         }
     }
 
-    /// Fit one clone of the prototype per column of `y` (`n x k`).
+    /// Fit one clone of the prototype per column of `y` (`n x k`), in
+    /// parallel. A failing or panicking output fails the whole fit with the
+    /// lowest-indexed output's error, and leaves no outputs fitted.
     pub fn fit(&mut self, x: &Matrix, y: &Matrix) -> Result<(), MlError> {
         if x.nrows() != y.nrows() {
             return Err(MlError::new(format!(
@@ -78,12 +88,17 @@ impl MultiOutputRegressor {
             )));
         }
         self.fitted.clear();
-        for k in 0..y.ncols() {
-            let target = y.col(k);
-            let mut model = self.prototype.clone_unfitted();
-            model.fit(x, &target)?;
-            self.fitted.push(model);
-        }
+        let prototype = &self.prototype;
+        self.fitted = parallel_try_map_range(y.ncols(), |k| {
+            let mut model = prototype.clone_unfitted();
+            model.fit(x, &y.col(k)).map(|()| model)
+        })
+        .into_iter()
+        .enumerate()
+        .map(|(k, r)| {
+            r.unwrap_or_else(|p| Err(MlError::new(format!("output {k} fit panicked: {p}"))))
+        })
+        .collect::<Result<_, _>>()?;
         Ok(())
     }
 
@@ -134,6 +149,43 @@ mod tests {
         let batch = m.predict(&x);
         assert_eq!(batch.nrows(), 4);
         assert!((batch[(2, 1)] - 5.0).abs() < 1e-6);
+    }
+
+    /// Fits anything except a target column whose first value is the
+    /// marker, on which it panics.
+    struct PanicsOnMarker;
+
+    impl Regressor for PanicsOnMarker {
+        fn fit(&mut self, _: &Matrix, y: &[f64]) -> Result<(), MlError> {
+            assert!(y.first() != Some(&-999.0), "marker column");
+            Ok(())
+        }
+        fn predict_row(&self, _: &[f64]) -> f64 {
+            0.0
+        }
+        fn name(&self) -> &'static str {
+            "panics_on_marker"
+        }
+        fn clone_unfitted(&self) -> Box<dyn Regressor> {
+            Box::new(PanicsOnMarker)
+        }
+    }
+
+    #[test]
+    fn panicking_output_fit_surfaces_as_typed_error() {
+        let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0]]);
+        let y = Matrix::from_rows(&[
+            vec![0.0, 1.0, -999.0, 3.0],
+            vec![1.0, 2.0, 3.0, 4.0],
+            vec![2.0, 3.0, 4.0, 5.0],
+        ]);
+        let mut m = MultiOutputRegressor::new(Box::new(PanicsOnMarker));
+        let err = m.fit(&x, &y).unwrap_err();
+        assert!(
+            err.message.contains("output 2") && err.message.contains("marker column"),
+            "{err}"
+        );
+        assert_eq!(m.n_outputs(), 0, "a failed fit leaves no outputs");
     }
 
     #[test]

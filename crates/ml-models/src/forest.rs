@@ -1,6 +1,6 @@
 //! Random forest regression: bootstrap-aggregated CART trees, fitted in
-//! parallel with scoped threads (the paper stresses "efficient, parallel"
-//! search).
+//! parallel on the shared worker pool (the paper stresses "efficient,
+//! parallel" search).
 
 use autoai_linalg::{parallel_try_map_range, Matrix, Rng64};
 

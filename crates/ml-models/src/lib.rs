@@ -11,7 +11,8 @@
 //! baseline.
 //!
 //! Everything implements the [`Regressor`] trait and can be lifted to
-//! multi-output problems (forecast horizons) with [`MultiOutputRegressor`].
+//! multi-output problems (forecast horizons) with [`MultiOutputRegressor`],
+//! which fits the outputs in parallel.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

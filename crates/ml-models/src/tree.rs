@@ -2,16 +2,24 @@
 //!
 //! The building block of both the random forest and the gradient-boosted
 //! ensemble. Splits minimize the weighted sum of child variances; candidate
-//! thresholds come from per-feature *presorted* sample orders, and features
-//! can be subsampled per split (`max_features`) for forest decorrelation.
+//! thresholds come from per-feature *presorted* columns, and features can be
+//! subsampled per split (`max_features`) for forest decorrelation.
 //!
 //! Split finding never sorts inside the tree: [`FeatureOrders`] argsorts
-//! every feature column once per design matrix, a fit expands that order to
-//! its (possibly bootstrapped) sample multiset, and each split maintains
-//! sortedness by stably partitioning every feature's order into the two
-//! children — O(d·n) per node instead of O(d·n·log n). Because the same
-//! design matrix backs every tree of a forest and every round of a booster,
-//! the argsort is paid once per ensemble fit, not once per node.
+//! every feature column once per design matrix and keeps the column's values
+//! in that sorted order next to the row indices. A fit expands both to its
+//! (possibly bootstrapped) sample multiset, the split scan reads each
+//! candidate feature's values as one contiguous slice, and each split keeps
+//! every feature sorted by stably partitioning its indices and values
+//! together into the two children in one pass — O(d·n) per node instead of
+//! O(d·n·log n), with no gathers from the row-major matrix. Because the
+//! same design matrix backs every tree of a forest and every round of a
+//! booster, the argsort is paid once per ensemble fit, not once per node.
+//!
+//! These fits are small (a few milliseconds for a 100×5 window matrix) and
+//! run many at a time: [`crate::MultiOutputRegressor`] fits one ensemble per
+//! forecast-horizon output on the shared worker pool, and a forest fits its
+//! trees there too.
 
 use autoai_linalg::{Matrix, Rng64};
 
@@ -57,45 +65,110 @@ enum Node {
     },
 }
 
-/// Per-feature argsort of a design matrix, shareable across every tree of a
-/// forest and every round of a booster fitted on the same matrix.
+/// Feature-major presorted columns: feature `f` occupies
+/// `[f·len, (f+1)·len)` of both arrays, its row indices ascending by value
+/// and the matching values alongside.
+#[derive(Clone)]
+struct SortedColumns {
+    idx: Vec<usize>,
+    val: Vec<f64>,
+    /// Entries per feature.
+    len: usize,
+    /// Number of features.
+    features: usize,
+}
+
+impl SortedColumns {
+    /// Positions of feature `f`'s node span `[lo, hi)` in both arrays.
+    fn span(&self, f: usize, lo: usize, hi: usize) -> std::ops::Range<usize> {
+        f * self.len + lo..f * self.len + hi
+    }
+
+    /// Row indices and values of feature `f` over the node span `[lo, hi)`.
+    fn segment(&self, f: usize, lo: usize, hi: usize) -> (&[usize], &[f64]) {
+        let span = self.span(f, lo, hi);
+        (
+            self.idx.get(span.clone()).unwrap_or_default(),
+            self.val.get(span).unwrap_or_default(),
+        )
+    }
+}
+
+/// Per-feature argsort of a design matrix, with each column's values stored
+/// in sorted order, shareable across every tree of a forest and every round
+/// of a booster fitted on the same matrix.
 ///
 /// Sorting is the dominant cost of naive CART split finding; computing the
 /// order once here and letting each fit expand it to its bootstrap multiset
-/// turns per-node split finding into a linear scan.
+/// turns per-node split finding into a linear scan over contiguous values.
 pub struct FeatureOrders {
-    /// `orders[f]` lists all row indices sorted ascending by feature `f`
-    /// (`total_cmp`, so NaNs sort last and ties keep row order).
-    orders: Vec<Vec<usize>>,
-    rows: usize,
+    /// Row indices sorted ascending by each feature (`total_cmp`, so NaNs
+    /// sort last and ties keep row order), with the values in that order.
+    columns: SortedColumns,
 }
 
 impl FeatureOrders {
     /// Argsort every column of `x`.
     pub fn compute(x: &Matrix) -> Self {
-        let n = x.nrows();
-        let orders = (0..x.ncols())
-            .map(|f| {
-                let col: Vec<f64> = (0..n).map(|r| x[(r, f)]).collect();
-                let mut ord: Vec<usize> = (0..n).collect();
-                ord.sort_by(|&a, &b| col[a].total_cmp(&col[b]));
-                ord
-            })
-            .collect();
-        Self { orders, rows: n }
+        let (n, d) = (x.nrows(), x.ncols());
+        let mut columns = SortedColumns {
+            idx: Vec::with_capacity(n * d),
+            val: Vec::with_capacity(n * d),
+            len: n,
+            features: d,
+        };
+        let mut col = Vec::with_capacity(n);
+        let mut ord = Vec::with_capacity(n);
+        for f in 0..d {
+            col.clear();
+            col.extend((0..n).map(|r| x[(r, f)]));
+            ord.clear();
+            ord.extend(0..n);
+            ord.sort_by(|&a, &b| col[a].total_cmp(&col[b]));
+            columns.val.extend(ord.iter().map(|&i| col[i]));
+            columns.idx.extend_from_slice(&ord);
+        }
+        Self { columns }
+    }
+
+    /// The sorted columns of the sample multiset `counts` (row `i` drawn
+    /// `counts[i]` times, `total` draws in all): a row drawn k times appears
+    /// k times, in sorted position, in every feature.
+    fn expand(&self, counts: &[usize], total: usize) -> SortedColumns {
+        if total == self.columns.len && counts.iter().all(|&c| c == 1) {
+            // no resampling (e.g. boosting without row subsampling): the
+            // shared columns ARE this fit's columns
+            return self.columns.clone();
+        }
+        let mut out = SortedColumns {
+            idx: Vec::with_capacity(total * self.columns.features),
+            val: Vec::with_capacity(total * self.columns.features),
+            len: total,
+            features: self.columns.features,
+        };
+        for (&i, &v) in self.columns.idx.iter().zip(&self.columns.val) {
+            for _ in 0..counts[i] {
+                out.idx.push(i);
+                out.val.push(v);
+            }
+        }
+        out
     }
 }
 
-/// Reusable per-fit buffers: gathered split-scan columns and the partition
-/// staging area. One allocation set serves the whole tree.
+/// Reusable per-fit buffers. One allocation set serves the whole tree.
 struct Scratch {
-    vals: Vec<f64>,
+    /// Candidate features of the node being split.
+    features: Vec<usize>,
+    /// Targets gathered in one feature's sorted order for the split scan.
     ys: Vec<f64>,
-    idx: Vec<usize>,
     /// `side[row] == true` ⇔ the row goes to the left child of the split
-    /// currently being applied; filled once per split so partitioning d
-    /// order arrays does d·n byte lookups instead of d·n matrix accesses.
+    /// currently being applied; filled once per split so partitioning the
+    /// d features does d·n byte lookups.
     side: Vec<bool>,
+    /// Partition staging for the right child's indices and values.
+    right_idx: Vec<usize>,
+    right_val: Vec<f64>,
 }
 
 /// A fitted CART regression tree.
@@ -125,8 +198,10 @@ impl DecisionTreeRegressor {
         self.fit_indices_presorted(x, y, indices, &shared)
     }
 
-    /// [`Self::fit_indices`] with the per-feature argsort supplied by the
-    /// caller, so an ensemble pays for sorting once instead of per tree.
+    /// [`Self::fit_indices`] with the per-feature argsort of `x` supplied by
+    /// the caller, so an ensemble pays for sorting once instead of per tree.
+    /// Split values are read from `shared`, which must have been computed
+    /// from this `x`.
     pub fn fit_indices_presorted(
         &mut self,
         x: &Matrix,
@@ -140,14 +215,11 @@ impl DecisionTreeRegressor {
         if x.nrows() != y.len() {
             return Err(MlError::new("decision tree: X/y row mismatch"));
         }
-        if shared.rows != x.nrows() || shared.orders.len() != x.ncols() {
+        if shared.columns.len != x.nrows() || shared.columns.features != x.ncols() {
             return Err(MlError::new(
                 "decision tree: feature orders were computed for a different matrix",
             ));
         }
-        // expand the full-data sort order to this fit's sample multiset: a
-        // row drawn k times by the bootstrap appears k times, in sorted
-        // position, in every feature's order
         let mut counts = vec![0usize; x.nrows()];
         for &i in indices {
             if i >= counts.len() {
@@ -155,49 +227,29 @@ impl DecisionTreeRegressor {
             }
             counts[i] += 1;
         }
-        let identity = indices.len() == x.nrows() && counts.iter().all(|&c| c == 1);
-        let mut orders: Vec<Vec<usize>> = if identity {
-            // no resampling (e.g. boosting without row subsampling): the
-            // shared order IS this fit's order, so a straight clone suffices
-            shared.orders.clone()
-        } else {
-            shared
-                .orders
-                .iter()
-                .map(|full| {
-                    let mut o = Vec::with_capacity(indices.len());
-                    for &i in full {
-                        for _ in 0..counts[i] {
-                            o.push(i);
-                        }
-                    }
-                    o
-                })
-                .collect()
-        };
+        let mut columns = shared.expand(&counts, indices.len());
         self.nodes.clear();
         let mut rng = Rng64::seed_from_u64(self.config.seed);
-        let hi = indices.len();
         let mut scratch = Scratch {
-            vals: Vec::with_capacity(hi),
-            ys: Vec::with_capacity(hi),
-            idx: Vec::with_capacity(hi),
+            features: Vec::with_capacity(x.ncols()),
+            ys: Vec::with_capacity(indices.len()),
             side: vec![false; x.nrows()],
+            right_idx: Vec::with_capacity(indices.len()),
+            right_val: Vec::with_capacity(indices.len()),
         };
-        self.build(x, y, &mut orders, 0, hi, 0, &mut rng, &mut scratch);
+        self.build(y, &mut columns, 0, indices.len(), 0, &mut rng, &mut scratch);
         Ok(())
     }
 
     /// Recursively grow the tree over the node occupying `[lo, hi)` of every
-    /// feature's order array; returns the new node's index. Children are
+    /// feature's sorted column; returns the new node's index. Children are
     /// carved out by stable in-place partition, so the whole build allocates
     /// nothing beyond the shared scratch.
     #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
-        x: &Matrix,
         y: &[f64],
-        orders: &mut [Vec<usize>],
+        columns: &mut SortedColumns,
         lo: usize,
         hi: usize,
         depth: usize,
@@ -205,10 +257,7 @@ impl DecisionTreeRegressor {
         scratch: &mut Scratch,
     ) -> usize {
         let n = hi - lo;
-        let base: &[usize] = orders
-            .first()
-            .and_then(|o| o.get(lo..hi))
-            .unwrap_or_default();
+        let (base, _) = columns.segment(0, lo, hi);
         let mean = base.iter().map(|&i| y[i]).sum::<f64>() / (n.max(1)) as f64;
         let node_var: f64 = base.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum();
 
@@ -226,42 +275,35 @@ impl DecisionTreeRegressor {
         }
 
         // choose candidate features
-        let d = x.ncols();
-        let mut features: Vec<usize> = (0..d).collect();
+        let d = columns.features;
+        let Scratch { features, ys, .. } = &mut *scratch;
+        features.clear();
+        features.extend(0..d);
         if let Some(mf) = self.config.max_features {
             if mf < d {
-                rng.shuffle(&mut features);
+                rng.shuffle(features);
                 features.truncate(mf.max(1));
             }
         }
 
-        // best split: minimize sum of child SSEs via a prefix scan over the
-        // presorted order — values and targets are gathered into contiguous
-        // scratch first so the scan itself runs branch-light over two slices
+        // best split: minimize sum of child SSEs via a prefix scan over each
+        // feature's presorted values, with the targets gathered into
+        // contiguous scratch so the scan runs branch-light over two slices
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
         let min_leaf = self.config.min_samples_leaf;
-        for &f in &features {
-            let order: &[usize] = orders
-                .get(f)
-                .and_then(|o| o.get(lo..hi))
-                .unwrap_or_default();
-            scratch.vals.clear();
-            scratch.ys.clear();
-            for &i in order {
-                scratch.vals.push(x[(i, f)]);
-                scratch.ys.push(y[i]);
-            }
-            let total_sum: f64 = scratch.ys.iter().sum();
-            let total_sq: f64 = scratch.ys.iter().map(|v| v * v).sum();
+        for &f in features.iter() {
+            let (order, vals) = columns.segment(f, lo, hi);
+            ys.clear();
+            ys.extend(order.iter().map(|&i| y[i]));
+            let total_sum: f64 = ys.iter().sum();
+            let total_sq: f64 = ys.iter().map(|v| v * v).sum();
             let mut sum_l = 0.0;
             let mut sq_l = 0.0;
-            for k in 0..n - 1 {
-                let yi = scratch.ys[k];
+            for (k, (pair, &yi)) in vals.windows(2).zip(ys.iter()).enumerate() {
                 sum_l += yi;
                 sq_l += yi * yi;
                 // no split between equal feature values
-                let v_cur = scratch.vals[k];
-                let v_next = scratch.vals[k + 1];
+                let (v_cur, v_next) = (pair[0], pair[1]);
                 if v_next - v_cur < 1e-12 {
                     continue;
                 }
@@ -288,15 +330,19 @@ impl DecisionTreeRegressor {
             return make_leaf(&mut self.nodes);
         }
 
-        // stable-partition every feature's order segment by the split
-        // predicate, in place through the shared scratch: stability keeps
-        // each child's segments sorted, so no re-sort is ever needed below.
-        // The predicate is evaluated once per distinct row into `side`, so
-        // the d partition passes do byte lookups, not matrix accesses.
+        // evaluate the split predicate once per sample, on the chosen
+        // feature's contiguous values
+        let Scratch {
+            side,
+            right_idx,
+            right_val,
+            ..
+        } = scratch;
+        let (order, vals) = columns.segment(feature, lo, hi);
         let mut mid = 0usize;
-        for &i in base {
-            let left = x[(i, feature)] <= threshold;
-            if let Some(s) = scratch.side.get_mut(i) {
+        for (&i, &v) in order.iter().zip(vals) {
+            let left = v <= threshold;
+            if let Some(s) = side.get_mut(i) {
                 *s = left;
             }
             mid += left as usize;
@@ -304,29 +350,39 @@ impl DecisionTreeRegressor {
         if mid == 0 || mid == n {
             return make_leaf(&mut self.nodes);
         }
-        let Scratch { idx, side, .. } = scratch;
-        for order in orders.iter_mut() {
-            let Some(seg) = order.get_mut(lo..hi) else {
+        // stable-partition every feature's indices and values together in
+        // one pass: left samples compact in place, right ones go through
+        // the staging buffers. Stability keeps each child's segments sorted,
+        // so no re-sort is ever needed below.
+        for f in 0..d {
+            let span = columns.span(f, lo, hi);
+            let (Some(idx), Some(val)) =
+                (columns.idx.get_mut(span.clone()), columns.val.get_mut(span))
+            else {
                 continue;
             };
-            idx.clear();
-            idx.extend(
-                seg.iter()
-                    .copied()
-                    .filter(|&i| side.get(i).copied().unwrap_or_default()),
-            );
-            idx.extend(
-                seg.iter()
-                    .copied()
-                    .filter(|&i| !side.get(i).copied().unwrap_or_default()),
-            );
-            seg.copy_from_slice(idx);
+            right_idx.clear();
+            right_val.clear();
+            let mut w = 0usize;
+            for k in 0..n {
+                let (i, v) = (idx[k], val[k]);
+                if side.get(i).copied().unwrap_or_default() {
+                    idx[w] = i;
+                    val[w] = v;
+                    w += 1;
+                } else {
+                    right_idx.push(i);
+                    right_val.push(v);
+                }
+            }
+            idx[w..].copy_from_slice(right_idx);
+            val[w..].copy_from_slice(right_val);
         }
         // reserve our slot before recursing
         let slot = self.nodes.len();
         self.nodes.push(Node::Leaf { value: mean });
-        let left = self.build(x, y, orders, lo, lo + mid, depth + 1, rng, scratch);
-        let right = self.build(x, y, orders, lo + mid, hi, depth + 1, rng, scratch);
+        let left = self.build(y, columns, lo, lo + mid, depth + 1, rng, scratch);
+        let right = self.build(y, columns, lo + mid, hi, depth + 1, rng, scratch);
         self.nodes[slot] = Node::Split {
             feature,
             threshold,

@@ -159,6 +159,11 @@ impl AutoEnsembler {
                     }
                 }
                 let mae = err / count.max(1) as f64;
+                // a non-finite score never wins: a NaN `best` would make
+                // every later `mae < best` false and lock the winner in
+                if !mae.is_finite() {
+                    continue;
+                }
                 if best.as_ref().is_none_or(|&(b, _)| mae < b) {
                     best = Some((mae, name));
                 }
@@ -480,6 +485,33 @@ mod tests {
         assert_eq!(f.n_series(), 2);
         // series 1 is a clean line; localized model should continue it
         assert!(f.series(1)[3] > 165.0, "{:?}", f.series(1));
+    }
+
+    #[test]
+    fn non_finite_validation_mae_cannot_win_the_tournament() {
+        // y = 2a - 2b fits the linear candidate exactly on the training
+        // windows, but the last validation row sits at a = b = 1e308,
+        // where 2a and -2b overflow to +inf and -inf: linear predicts NaN
+        // there. The trees route that row to a finite leaf, so one of them
+        // must win even though linear is scored first.
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for i in 0..20 {
+            let (a, b) = if i == 19 {
+                (1e308, 1e308)
+            } else {
+                ((i as f64 * 0.7).sin() * 10.0, (i as f64 * 1.3).cos() * 10.0)
+            };
+            xs.push(vec![a, b]);
+            ys.push(vec![if i == 19 { 0.0 } else { 2.0 * a - 2.0 * b }]);
+        }
+        let x = autoai_linalg::Matrix::from_rows(&xs);
+        let y = autoai_linalg::Matrix::from_rows(&ys);
+        let (_, chosen) = AutoEnsembler::auto_fit(&x, &y).unwrap();
+        assert!(
+            chosen == "random_forest" || chosen == "gbm",
+            "a NaN validation MAE won the tournament: chose {chosen}"
+        );
     }
 
     #[test]

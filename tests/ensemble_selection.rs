@@ -100,7 +100,7 @@ fn weights_sum_to_one_and_never_lose_to_best_single() {
 }
 
 #[test]
-fn selection_is_bit_identical_across_execution_and_cache_modes() {
+fn selection_is_bit_identical_across_execution_and_warm_cold_modes() {
     let data = frame(260);
     let runs: Vec<TDaubResult> = [
         config(false, false), // serial, cold

@@ -398,7 +398,7 @@ fn all_pipelines_failing_is_a_typed_error() {
 }
 
 #[test]
-fn rankings_bit_identical_across_cache_and_execution_modes() {
+fn rankings_bit_identical_across_warm_cold_and_execution_modes() {
     // the perf layer's determinism contract: warm, cold, serial and
     // parallel runs must agree to the last bit — projected and final
     // scores, not just rank order. The pool mixes hostile pipelines with
