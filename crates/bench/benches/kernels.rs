@@ -1,6 +1,6 @@
 //! Benchmark: the vectorized linalg kernels against naive textbook
-//! references, batched vs point-by-point Nelder–Mead, and the
-//! AutoEnsembler tournament's 12-output model fits.
+//! references, BATS cold fits and seeded refits, and the AutoEnsembler
+//! tournament's 12-output model fits.
 //!
 //! Plain `std::time` harness (`harness = false`); run with
 //! `cargo bench -p autoai-bench --bench kernels`.
@@ -9,14 +9,15 @@
 //!
 //! * default — full measurement; writes the machine-readable
 //!   `BENCH_kernels.json` at the repo root (per-kernel naive/fast wall
-//!   times and speedups, batched-NM parity and timing, and the median and
-//!   min/max fit time of 12-output linear / random-forest / boosted
+//!   times and speedups, the median and min/max time of BATS cold fits and
+//!   seeded refits at two `fit-uni` shapes, and the median and min/max fit
+//!   time of 12-output linear / random-forest / boosted
 //!   `MultiOutputRegressor` fits on 100×5 and 300×16 window matrices).
 //! * `--smoke` — reduced sizes, no JSON; asserts every gated kernel
 //!   (matmul, gram, dot) stays ≥ 2× ahead of its naive reference,
 //!   that all kernels agree with the references within a
-//!   reassociation-sized tolerance, that the batched Nelder–Mead
-//!   path is bitwise identical to the plain one, that the parallel
+//!   reassociation-sized tolerance, that BATS's smoothing recursion
+//!   matches the textbook `t % m` recursion bit for bit, that the parallel
 //!   multi-output fit is bitwise identical to a serial per-column loop,
 //!   and that the presorted CART kernel grows bit for bit the tree of a
 //!   naive per-node-sort reference. Exits non-zero on any violation;
@@ -25,14 +26,19 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use autoai_linalg::{dot, nelder_mead, nelder_mead_batched, Matrix, NelderMeadOptions, Rng64};
+use autoai_datasets::univariate_catalog;
+use autoai_linalg::{dot, Matrix, Rng64};
 use autoai_ml_models::{
     DecisionTreeConfig, DecisionTreeRegressor, GradientBoostingConfig, GradientBoostingRegressor,
     LinearRegression, MultiOutputRegressor, RandomForestConfig, RandomForestRegressor, Regressor,
 };
+use autoai_stat_models::{Bats, BatsConfig, Smoother};
 
 #[path = "../../ml-models/tests/reference/mod.rs"]
 mod reference;
+
+#[path = "../../stat-models/tests/reference/mod.rs"]
+mod bats_reference;
 
 // ---- naive references (the pre-optimization loop shapes) ---------------
 
@@ -127,52 +133,35 @@ impl KernelResult {
     }
 }
 
-/// One-step SES SSE with a damped-trend second parameter — the batched
-/// variant walks the series once holding every candidate's state, which is
-/// the access pattern the batched optimizer exists for.
-fn ses_sse(series: &[f64], p: &[f64]) -> f64 {
-    let alpha = p[0].clamp(0.01, 0.99);
-    let phi = p[1].clamp(0.0, 1.0);
-    let mut level = series[0];
-    let mut trend = 0.0;
-    let mut sse = 0.0;
-    for &x in &series[1..] {
-        let pred = level + phi * trend;
-        let e = x - pred;
-        sse += e * e;
-        let new_level = pred + alpha * e;
-        trend = phi * trend + alpha * e;
-        level = new_level;
-    }
-    sse
-}
+// ---- BATS fits --------------------------------------------------------
 
-fn ses_sse_batch(series: &[f64], points: &[Vec<f64>]) -> Vec<f64> {
-    let k = points.len();
-    let mut alpha = vec![0.0; k];
-    let mut phi = vec![0.0; k];
-    let mut level = vec![series[0]; k];
-    let mut trend = vec![0.0; k];
-    let mut sse = vec![0.0; k];
-    for (c, p) in points.iter().enumerate() {
-        alpha[c] = p[0].clamp(0.01, 0.99);
-        phi[c] = p[1].clamp(0.0, 1.0);
-    }
-    // one pass over the series updates every candidate: the series is
-    // loaded once instead of once per candidate, and each candidate's
-    // arithmetic happens in exactly the order of `ses_sse`, so the result
-    // is bitwise identical per candidate
-    for &x in &series[1..] {
-        for c in 0..k {
-            let pred = level[c] + phi[c] * trend[c];
-            let e = x - pred;
-            sse[c] += e * e;
-            let new_level = pred + alpha[c] * e;
-            trend[c] = phi[c] * trend[c] + alpha[c] * e;
-            level[c] = new_level;
-        }
-    }
-    sse
+/// Rows appended before a seeded refit: one T-Daub allocation step.
+const BATS_GROWTH: usize = 12;
+
+/// `fit-uni` shapes: a head of a seeded catalog series and its seasonal
+/// periods (all feasible on the head and on the grown head).
+const BATS_SHAPES: [(&str, usize, &[usize]); 2] = [
+    ("Births", 100, &[7, 4, 30]),
+    ("usmelec", 200, &[3, 7, 12, 26, 30]),
+];
+
+/// Does BATS's smoothing recursion reproduce the textbook `t % m`
+/// recursion bit for bit — SSE-only and full passes — on seeded cases?
+fn bats_reference_parity(rng: &mut Rng64, cases: usize) -> bool {
+    (0..cases).all(|i| {
+        let c = bats_reference::case(rng, i);
+        let want =
+            bats_reference::run_es(&c.y, c.use_trend, &c.periods, c.alpha, c.beta, &c.gammas);
+        let mut smoother = Smoother::new(&c.y, c.use_trend, &c.periods);
+        let sse = smoother
+            .as_mut()
+            .and_then(|s| s.sse(c.alpha, c.beta, &c.gammas));
+        let got = smoother
+            .as_mut()
+            .and_then(|s| s.pass(c.alpha, c.beta, &c.gammas));
+        sse.map(f64::to_bits) == want.as_ref().map(|w| w.sse.to_bits())
+            && bats_reference::state_bits(&got) == bats_reference::state_bits(&want)
+    })
 }
 
 // ---- tournament model fits -------------------------------------------
@@ -276,10 +265,10 @@ fn main() {
     // shapes chosen from the workspace's real design matrices (hundreds of
     // window rows, tens of lookback columns) plus a square matmul stressing
     // the register tiling
-    let (mm, gram_rows, gram_cols, dot_n, series_n, reps) = if smoke {
-        (96, 512, 32, 4096, 50_000, 5)
+    let (mm, gram_rows, gram_cols, dot_n, reps) = if smoke {
+        (96, 512, 32, 4096, 5)
     } else {
-        (192, 2048, 48, 16384, 200_000, 9)
+        (192, 2048, 48, 16384, 9)
     };
 
     let mut rng = Rng64::seed_from_u64(0xBE7C);
@@ -375,43 +364,54 @@ fn main() {
         );
     }
 
-    println!("== batched Nelder-Mead ==");
-    let series: Vec<f64> = (0..series_n)
-        .map(|i| {
-            20.0 + 0.002 * i as f64
-                + 3.0 * (2.0 * std::f64::consts::PI * i as f64 / 12.0).sin()
-                + rng.range_f64(-0.4, 0.4)
-        })
-        .collect();
-    let opts = NelderMeadOptions {
-        max_evals: 120,
-        ..NelderMeadOptions::default()
-    };
-    let x0 = [0.3, 0.5];
-    let plain_ms = measure_ms(reps.min(5), 1, || {
-        black_box(nelder_mead(|p| ses_sse(black_box(&series), p), &x0, &opts));
-    });
-    let batched_ms = measure_ms(reps.min(5), 1, || {
-        black_box(nelder_mead_batched(
-            |pts| ses_sse_batch(black_box(&series), pts),
-            &x0,
-            &opts,
-        ));
-    });
-    let (px, pv) = nelder_mead(|p| ses_sse(&series, p), &x0, &opts);
-    let (bx, bv, _) = nelder_mead_batched(|pts| ses_sse_batch(&series, pts), &x0, &opts);
-    let nm_parity = pv.to_bits() == bv.to_bits()
-        && px.len() == bx.len()
-        && px.iter().zip(&bx).all(|(a, b)| a.to_bits() == b.to_bits());
-    let nm_speedup = plain_ms / batched_ms;
-    println!(
-        "nelder_mead point-by-point {plain_ms:>10.4} ms   batched {batched_ms:>10.4} ms   \
-         {nm_speedup:>6.2}x   bitwise parity: {nm_parity}"
+    println!("== BATS fits ==");
+    let bats_parity = bats_reference_parity(
+        &mut Rng64::seed_from_u64(0xBA75),
+        if smoke { 200 } else { 1000 },
     );
+    println!("smoothing recursion vs textbook t % m recursion bitwise parity: {bats_parity}");
     assert!(
-        nm_parity,
-        "batched Nelder-Mead diverged from the plain path: {pv} vs {bv}"
+        bats_parity,
+        "BATS's smoothing recursion diverged from the reference recursion"
     );
+    let bats_shapes = if smoke {
+        &BATS_SHAPES[..1]
+    } else {
+        &BATS_SHAPES[..]
+    };
+    let bats_reps = if smoke { 1 } else { 7 };
+    let mut bats_rows = Vec::new();
+    for &(name, rows, periods) in bats_shapes {
+        let full = univariate_catalog()
+            .into_iter()
+            .find(|e| e.name == name)
+            .expect("BATS shapes are catalog entries")
+            .generate(11);
+        let (head, grown) = (full.slice(0, rows), full.slice(0, rows + BATS_GROWTH));
+        let config = BatsConfig::with_periods(periods.to_vec());
+        let seed = Bats::fit(head.series(0), &config).expect("BATS cold fit");
+        let cold = spread_ms(bats_reps, || {
+            black_box(Bats::fit(black_box(head.series(0)), &config).expect("BATS cold fit"));
+        });
+        let seeded = spread_ms(bats_reps, || {
+            black_box(
+                Bats::fit_seeded_with_deadline(black_box(grown.series(0)), &config, &seed, None)
+                    .expect("BATS seeded refit"),
+            );
+        });
+        let p = periods.len();
+        println!(
+            "{name:<8} {rows:>4} rows {p} periods   cold median {:>9.3} ms (min {:.3}, max {:.3})   \
+             seeded median {:>9.3} ms (min {:.3}, max {:.3})",
+            cold.0, cold.1, cold.2, seeded.0, seeded.1, seeded.2
+        );
+        bats_rows.push(format!(
+            "      {{\"series\": \"{name}\", \"rows\": {rows}, \"periods\": {periods:?}, \
+             \"cold_median_ms\": {:.3}, \"cold_min_ms\": {:.3}, \"cold_max_ms\": {:.3}, \
+             \"seeded_median_ms\": {:.3}, \"seeded_min_ms\": {:.3}, \"seeded_max_ms\": {:.3}}}",
+            cold.0, cold.1, cold.2, seeded.0, seeded.1, seeded.2
+        ));
+    }
 
     println!("== tournament model fits ({OUTPUTS} outputs) ==");
     let cart_parity = cart_reference_parity(&mut rng, if smoke { 40 } else { 200 });
@@ -467,7 +467,7 @@ fn main() {
             "kernel speedup bar not met: {min_gated:.2}x (need 2x)"
         );
         println!(
-            "smoke: kernel speedups >= 2x, references matched, batched NM bit-identical, \
+            "smoke: kernel speedups >= 2x, references matched, BATS recursion, \
              multi-output fits and CART kernel bit-identical to their references"
         );
         return;
@@ -490,8 +490,9 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"matmul_dim\": {mm},\n  \"gram_shape\": [{gram_rows}, {gram_cols}],\n  \"dot_len\": {dot_n},\n  \"reps\": {reps},\n  \"kernels\": [\n{}\n  ],\n  \"min_gated_speedup\": {min_gated:.3},\n  \"nelder_mead\": {{\n    \"series_len\": {series_n},\n    \"plain_ms\": {plain_ms:.4},\n    \"batched_ms\": {batched_ms:.4},\n    \"speedup\": {nm_speedup:.3},\n    \"bitwise_parity\": {nm_parity}\n  }},\n  \"cart_reference_parity\": {cart_parity},\n  \"tournament_fits\": {{\n    \"outputs\": {OUTPUTS},\n    \"reps\": {fit_reps},\n    \"fits\": [\n{}\n    ]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"kernels\",\n  \"matmul_dim\": {mm},\n  \"gram_shape\": [{gram_rows}, {gram_cols}],\n  \"dot_len\": {dot_n},\n  \"reps\": {reps},\n  \"kernels\": [\n{}\n  ],\n  \"min_gated_speedup\": {min_gated:.3},\n  \"bats_reference_parity\": {bats_parity},\n  \"bats_fits\": {{\n    \"growth_rows\": {BATS_GROWTH},\n    \"reps\": {bats_reps},\n    \"fits\": [\n{}\n    ]\n  }},\n  \"cart_reference_parity\": {cart_parity},\n  \"tournament_fits\": {{\n    \"outputs\": {OUTPUTS},\n    \"reps\": {fit_reps},\n    \"fits\": [\n{}\n    ]\n  }}\n}}\n",
         kernel_json.join(",\n"),
+        bats_rows.join(",\n"),
         fit_rows.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");

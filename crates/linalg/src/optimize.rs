@@ -52,13 +52,18 @@ pub fn nelder_mead(
 /// because [`NelderMeadOptions::deadline`] passed. Returns
 /// `(argmin, min_value, timed_out)`; on `timed_out == true` the argmin is the
 /// best simplex vertex found before the deadline (best-so-far semantics).
+///
+/// The objective is evaluated lazily — one reflection per iteration, then
+/// an expansion or a contraction only when the reflection calls for one —
+/// and at most `max_evals + x0.len() + 1` times in all. It may be `FnMut`,
+/// so it can reuse scratch buffers across evaluations.
 pub fn nelder_mead_budgeted(
-    f: impl Fn(&[f64]) -> f64,
+    mut f: impl FnMut(&[f64]) -> f64,
     x0: &[f64],
     opts: &NelderMeadOptions,
 ) -> (Vec<f64>, f64, bool) {
     let n = x0.len();
-    let eval = |x: &[f64]| -> f64 {
+    let mut eval = |x: &[f64]| -> f64 {
         let v = f(x);
         if v.is_finite() {
             v
@@ -187,164 +192,6 @@ pub fn nelder_mead_budgeted(
     (simplex[best].clone(), values[best], timed_out)
 }
 
-/// Batched Nelder–Mead: identical trajectory to [`nelder_mead_budgeted`],
-/// but the objective receives whole candidate *sets* per call.
-///
-/// Every iteration evaluates the full speculative candidate set — reflect,
-/// expand, contract — in one call, and a shrink evaluates all `n` moved
-/// vertices as one batch (the initial simplex is likewise one batch of
-/// `n + 1`). Model fit loops (Holt–Winters, ARIMA CSS, BATS, GARCH) use
-/// this to amortize per-call setup — scratch allocation, series transforms,
-/// state-vector initialization — across candidates instead of paying it per
-/// point.
-///
-/// Equivalence contract: for an objective where `fbatch(points)[i]` equals
-/// the serial objective at `points[i]`, this returns **bitwise** the same
-/// `(argmin, min_value, timed_out)` as [`nelder_mead_budgeted`]. Candidate
-/// points are built identically, the decision tree is identical, and the
-/// evaluation *budget* is spent exactly as the serial path would spend it:
-/// speculative values the serial path would not have computed are discarded
-/// without being counted against `max_evals`, so both variants stop at the
-/// same iteration. A batch result shorter than its candidate set is padded
-/// with `+inf` (defensive; such objectives are buggy).
-pub fn nelder_mead_batched(
-    mut fbatch: impl FnMut(&[Vec<f64>]) -> Vec<f64>,
-    x0: &[f64],
-    opts: &NelderMeadOptions,
-) -> (Vec<f64>, f64, bool) {
-    let n = x0.len();
-    let mut eval_batch = move |points: &[Vec<f64>]| -> Vec<f64> {
-        let mut out: Vec<f64> = fbatch(points)
-            .into_iter()
-            .take(points.len())
-            .map(|v| if v.is_finite() { v } else { f64::INFINITY })
-            .collect();
-        out.resize(points.len(), f64::INFINITY);
-        out
-    };
-    if n == 0 {
-        let vals = eval_batch(&[x0.to_vec()]);
-        let v = vals.first().copied().unwrap_or(f64::INFINITY);
-        return (Vec::new(), v, false);
-    }
-    let (alpha, gamma, rho, sigma) = (1.0, 2.0, 0.5, 0.5);
-
-    let mut simplex: Vec<Vec<f64>> = Vec::with_capacity(n + 1);
-    simplex.push(x0.to_vec());
-    for i in 0..n {
-        let mut p = x0.to_vec();
-        let step = if p[i].abs() > 1e-8 {
-            p[i].abs() * opts.initial_step
-        } else {
-            opts.initial_step
-        };
-        p[i] += step;
-        simplex.push(p);
-    }
-    let mut values: Vec<f64> = eval_batch(&simplex);
-    let mut evals = values.len();
-    let mut timed_out = false;
-
-    while evals < opts.max_evals {
-        if let Some(deadline) = opts.deadline {
-            if std::time::Instant::now() >= deadline {
-                timed_out = true;
-                break;
-            }
-        }
-        let mut idx: Vec<usize> = (0..=n).collect();
-        idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-        let simplex_sorted: Vec<Vec<f64>> = idx.iter().map(|&i| simplex[i].clone()).collect();
-        let values_sorted: Vec<f64> = idx.iter().map(|&i| values[i]).collect();
-        simplex = simplex_sorted;
-        values = values_sorted;
-
-        if (values[n] - values[0]).abs() < opts.f_tol && values[0].is_finite() {
-            let mut x_spread = 0.0f64;
-            for p in simplex.iter().skip(1) {
-                for (a, b) in p.iter().zip(&simplex[0]) {
-                    x_spread = x_spread.max((a - b).abs());
-                }
-            }
-            if x_spread < 1e-7 {
-                break;
-            }
-        }
-
-        let mut centroid = vec![0.0; n];
-        for p in simplex.iter().take(n) {
-            for (c, &x) in centroid.iter_mut().zip(p) {
-                *c += x / n as f64;
-            }
-        }
-
-        // the whole speculative candidate set, evaluated as one batch
-        let reflect: Vec<f64> = centroid
-            .iter()
-            .zip(&simplex[n])
-            .map(|(&c, &w)| c + alpha * (c - w))
-            .collect();
-        let expand: Vec<f64> = centroid
-            .iter()
-            .zip(&simplex[n])
-            .map(|(&c, &w)| c + gamma * (c - w))
-            .collect();
-        let contract: Vec<f64> = centroid
-            .iter()
-            .zip(&simplex[n])
-            .map(|(&c, &w)| c + rho * (w - c))
-            .collect();
-        let spec = eval_batch(&[reflect.clone(), expand.clone(), contract.clone()]);
-        let (fr, fe, fc) = (spec[0], spec[1], spec[2]);
-        // reflection is always charged, exactly as in the serial path
-        evals += 1;
-
-        if fr < values[0] {
-            // the serial path evaluates the expansion here — charge it
-            evals += 1;
-            if fe < fr {
-                simplex[n] = expand;
-                values[n] = fe;
-            } else {
-                simplex[n] = reflect;
-                values[n] = fr;
-            }
-        } else if fr < values[n - 1] {
-            // fe and fc were speculative: discarded, never charged
-            simplex[n] = reflect;
-            values[n] = fr;
-        } else {
-            // the serial path evaluates the contraction here — charge it
-            evals += 1;
-            if fc < values[n] {
-                simplex[n] = contract;
-                values[n] = fc;
-            } else {
-                // shrink toward best, all moved vertices as one batch
-                let best = simplex[0].clone();
-                for p in simplex.iter_mut().skip(1) {
-                    for (x, &b) in p.iter_mut().zip(&best) {
-                        *x = b + sigma * (*x - b);
-                    }
-                }
-                let shrunk = eval_batch(&simplex[1..]);
-                for (v, nv) in values.iter_mut().skip(1).zip(shrunk) {
-                    *v = nv;
-                }
-                evals += n;
-            }
-        }
-    }
-
-    let mut best = 0;
-    for i in 1..values.len() {
-        if values[i] < values[best] {
-            best = i;
-        }
-    }
-    (simplex[best].clone(), values[best], timed_out)
-}
-
 /// Golden-section search for the minimum of a unimodal 1-D function on `[a, b]`.
 pub fn golden_section_min(f: impl Fn(f64) -> f64, mut a: f64, mut b: f64, tol: f64) -> f64 {
     let inv_phi = (5f64.sqrt() - 1.0) / 2.0;
@@ -449,72 +296,53 @@ mod tests {
         assert_eq!(budgeted, plain);
     }
 
-    fn batchify(f: impl Fn(&[f64]) -> f64) -> impl FnMut(&[Vec<f64>]) -> Vec<f64> {
-        move |points: &[Vec<f64>]| points.iter().map(|p| f(p)).collect()
-    }
-
     #[test]
-    fn batched_matches_plain_bitwise_on_quadratic() {
-        let f = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2);
-        let opts = NelderMeadOptions::default();
-        let (bx, bv, bt) = nelder_mead_batched(batchify(f), &[0.0, 0.0], &opts);
-        let (px, pv, pt) = nelder_mead_budgeted(f, &[0.0, 0.0], &opts);
-        assert_eq!(bx, px);
-        assert_eq!(bv.to_bits(), pv.to_bits());
-        assert_eq!(bt, pt);
-    }
-
-    #[test]
-    fn batched_matches_plain_bitwise_on_rosenbrock() {
-        // long run from a bad start exercises contraction and shrink paths
-        let f = |x: &[f64]| {
-            let a = 1.0 - x[0];
-            let b = x[1] - x[0] * x[0];
-            a * a + 100.0 * b * b
-        };
-        let opts = NelderMeadOptions {
-            max_evals: 10_000,
-            ..Default::default()
-        };
-        let (bx, bv, _) = nelder_mead_batched(batchify(f), &[-1.2, 1.0], &opts);
-        let (px, pv, _) = nelder_mead_budgeted(f, &[-1.2, 1.0], &opts);
-        assert_eq!(bx, px);
-        assert_eq!(bv.to_bits(), pv.to_bits());
-    }
-
-    #[test]
-    fn batched_matches_plain_on_infeasible_regions() {
-        let f = |x: &[f64]| {
-            if x[0] < 0.0 {
-                f64::INFINITY
-            } else {
-                (x[0] - 0.5).powi(2)
+    fn objective_calls_stay_within_the_budget() {
+        // a shrink on the last budgeted iteration costs a reflection, a
+        // contraction and `dim` moved vertices: the worst case overshoots
+        // `max_evals` by `dim + 1`, never more
+        type Problem = (fn(&[f64]) -> f64, Vec<f64>);
+        let problems: [Problem; 3] = [
+            (
+                |x| {
+                    let a = 1.0 - x[0];
+                    let b = x[1] - x[0] * x[0];
+                    a * a + 100.0 * b * b
+                },
+                vec![-1.2, 1.0],
+            ),
+            (|x| x.iter().map(|v| v.abs().sqrt()).sum(), vec![3.0; 5]),
+            (
+                |x| {
+                    if x[0] < 0.0 {
+                        f64::NAN
+                    } else {
+                        (x[0] - 0.5).powi(2)
+                    }
+                },
+                vec![2.0],
+            ),
+        ];
+        for (f, x0) in problems {
+            for max_evals in [1, 2, 7, 20, 61, 300] {
+                let mut calls = 0usize;
+                let counting = |x: &[f64]| {
+                    calls += 1;
+                    f(x)
+                };
+                let opts = NelderMeadOptions {
+                    max_evals,
+                    f_tol: 0.0,
+                    ..Default::default()
+                };
+                nelder_mead_budgeted(counting, &x0, &opts);
+                assert!(
+                    calls <= max_evals + x0.len() + 1,
+                    "dim {} budget {max_evals}: {calls} objective calls",
+                    x0.len()
+                );
             }
-        };
-        let opts = NelderMeadOptions::default();
-        let (bx, bv, _) = nelder_mead_batched(batchify(f), &[2.0], &opts);
-        let (px, pv, _) = nelder_mead_budgeted(f, &[2.0], &opts);
-        assert_eq!(bx, px);
-        assert_eq!(bv.to_bits(), pv.to_bits());
-    }
-
-    #[test]
-    fn batched_zero_dimensional_and_short_batches() {
-        let (x, v, t) = nelder_mead_batched(batchify(|_| 7.0), &[], &NelderMeadOptions::default());
-        assert!(x.is_empty());
-        assert_eq!(v, 7.0);
-        assert!(!t);
-        // a buggy objective returning too few values degrades to +inf
-        // padding instead of panicking
-        let (_, v, _) = nelder_mead_batched(
-            |_points: &[Vec<f64>]| Vec::new(),
-            &[1.0],
-            &NelderMeadOptions {
-                max_evals: 20,
-                ..Default::default()
-            },
-        );
-        assert!(v.is_infinite());
+        }
     }
 
     #[test]

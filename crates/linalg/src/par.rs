@@ -403,6 +403,13 @@ where
     }
 }
 
+/// Threads a parallel map uses: the pool's persistent workers plus the
+/// calling thread. Read once when the pool starts — `available_parallelism`
+/// reads cgroup files on every call, too slow to repeat per round.
+pub fn pool_threads() -> usize {
+    pool::threads()
+}
+
 /// Map `f` over `items` in place, in parallel, returning per-item results in
 /// input order. A panic inside `f` yields `Err(WorkerPanic)` for that item
 /// only; all other items still complete. Falls back to a sequential loop for

@@ -829,6 +829,11 @@ impl BatsPipeline {
     pub fn timed_out(&self) -> bool {
         self.models.iter().any(|m| m.timed_out)
     }
+
+    /// The fitted per-series models (empty before a fit).
+    pub fn models(&self) -> &[Bats] {
+        &self.models
+    }
 }
 
 impl Forecaster for BatsPipeline {

@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use autoai_linalg::{nelder_mead_batched, NelderMeadOptions};
+use autoai_linalg::{nelder_mead_budgeted, NelderMeadOptions};
 
 use crate::arima::{Arima, ArimaSpec};
 use crate::FitError;
@@ -45,18 +45,246 @@ impl BatsConfig {
     }
 }
 
-/// Internal exponential-smoothing fit in (possibly) Box-Cox space.
+/// Final state of one pass of the smoothing recursion over a series.
 #[derive(Debug, Clone)]
-struct EsState {
-    level: f64,
-    trend: f64,
+pub struct SmoothingState {
+    /// Level after the last observation.
+    pub level: f64,
+    /// Trend after the last observation (0 without a trend component).
+    pub trend: f64,
     /// One seasonal index vector per period.
+    pub seasonals: Vec<Vec<f64>>,
+    /// One-step errors of the observations after the warm-up (the first
+    /// `max(periods, 2)` observations).
+    pub residuals: Vec<f64>,
+    /// Sum of squared residuals.
+    pub sse: f64,
+}
+
+/// The additive multi-seasonal smoothing recursion over one series.
+///
+/// The parameter-invariant start (initial level, trend and seasonal
+/// indices) is computed once and the seasonal buffers are reused by every
+/// pass, so an objective evaluation of the smoothing-constant search
+/// allocates nothing (with up to six periods). Each period keeps a phase
+/// cursor instead of taking `t % m`, and each period's current seasonal
+/// index is loaded once per step; sums run over those loaded values in
+/// period order, so a pass is operation for operation the textbook
+/// `t % m` recursion. Public so parity tests and benches can drive the
+/// recursion directly.
+pub struct Smoother<'a> {
+    y: &'a [f64],
+    periods: &'a [usize],
+    use_trend: bool,
+    /// Observations before the first scored one-step error.
+    warmup: usize,
+    start_level: f64,
+    start_trend: f64,
+    start_seasonals: Vec<Vec<f64>>,
+    /// Working seasonal index vectors, reset to the start on every pass.
     seasonals: Vec<Vec<f64>>,
+}
+
+impl<'a> Smoother<'a> {
+    /// Initialize the recursion on `y`: the level starts at the mean of the
+    /// warm-up, each period's indices at its first one or two cycles. `None`
+    /// when `y` is shorter than the warm-up or a period is zero.
+    pub fn new(y: &'a [f64], use_trend: bool, periods: &'a [usize]) -> Option<Self> {
+        let warmup = periods.iter().copied().max().unwrap_or(1).max(2);
+        let base = autoai_linalg::mean(y.get(..warmup)?);
+        let start_seasonals = periods
+            .iter()
+            .map(|&m| {
+                let mut idx = vec![0.0; m];
+                let cycles = y.len().checked_div(m)?;
+                let use_cycles = cycles.clamp(1, 2);
+                for (j, v) in idx.iter_mut().enumerate() {
+                    let mut s = 0.0;
+                    for c in 0..use_cycles {
+                        // c < cycles and j < m, so c*m + j < cycles*m <= len
+                        s += y.get(c * m + j).copied().unwrap_or(base);
+                    }
+                    *v = s / use_cycles as f64 - base;
+                }
+                // divide initial effect among overlapping periods
+                if periods.len() > 1 {
+                    for v in idx.iter_mut() {
+                        *v /= periods.len() as f64;
+                    }
+                }
+                Some(idx)
+            })
+            .collect::<Option<Vec<Vec<f64>>>>()?;
+        let start_trend = if use_trend && y.len() > warmup {
+            (y.get(warmup)? - y.first()?) / warmup as f64
+        } else {
+            0.0
+        };
+        Some(Self {
+            y,
+            periods,
+            use_trend,
+            warmup,
+            start_level: base,
+            start_trend,
+            seasonals: start_seasonals.clone(),
+            start_seasonals,
+        })
+    }
+
+    /// SSE of one pass with the given smoothing constants; `None` when a
+    /// one-step error is non-finite.
+    pub fn sse(&mut self, alpha: f64, beta: f64, gammas: &[f64]) -> Option<f64> {
+        self.run(alpha, beta, gammas, None).map(|(_, _, sse)| sse)
+    }
+
+    /// One pass with the given smoothing constants, keeping its residuals
+    /// and final state; `None` when a one-step error is non-finite.
+    pub fn pass(&mut self, alpha: f64, beta: f64, gammas: &[f64]) -> Option<SmoothingState> {
+        let mut residuals = Vec::with_capacity(self.y.len().saturating_sub(self.warmup));
+        let (level, trend, sse) = self.run(alpha, beta, gammas, Some(&mut residuals))?;
+        Some(SmoothingState {
+            level,
+            trend,
+            seasonals: self.seasonals.clone(),
+            residuals,
+            sse,
+        })
+    }
+
+    /// The recursion itself: returns the final `(level, trend, sse)` and
+    /// leaves the final seasonal indices in `self.seasonals`. For up to six
+    /// periods the per-period state lives in fixed-size stack arrays, which
+    /// lets the compiler unroll the per-period loops and keep that state in
+    /// registers across the seasonal-index stores; more periods use heap
+    /// vectors. Both run the same code.
+    fn run(
+        &mut self,
+        alpha: f64,
+        beta: f64,
+        gammas: &[f64],
+        residuals: Option<&mut Vec<f64>>,
+    ) -> Option<(f64, f64, f64)> {
+        match self.periods.len() {
+            0 => self.run_in([0.0; 0], [0; 0], alpha, beta, gammas, residuals),
+            1 => self.run_in([0.0; 1], [0; 1], alpha, beta, gammas, residuals),
+            2 => self.run_in([0.0; 2], [0; 2], alpha, beta, gammas, residuals),
+            3 => self.run_in([0.0; 3], [0; 3], alpha, beta, gammas, residuals),
+            4 => self.run_in([0.0; 4], [0; 4], alpha, beta, gammas, residuals),
+            5 => self.run_in([0.0; 5], [0; 5], alpha, beta, gammas, residuals),
+            6 => self.run_in([0.0; 6], [0; 6], alpha, beta, gammas, residuals),
+            p => self.run_in(vec![0.0; p], vec![0; p], alpha, beta, gammas, residuals),
+        }
+    }
+
+    /// [`Smoother::run`] with per-period buffers built from `zeros` (one
+    /// 0.0 per period) and `cursors` (one 0 per period).
+    fn run_in<F, U>(
+        &mut self,
+        zeros: F,
+        cursors: U,
+        alpha: f64,
+        beta: f64,
+        gammas: &[f64],
+        mut residuals: Option<&mut Vec<f64>>,
+    ) -> Option<(f64, f64, f64)>
+    where
+        F: AsRef<[f64]> + AsMut<[f64]> + Clone,
+        U: AsRef<[usize]> + AsMut<[usize]> + Clone,
+    {
+        // each period's seasonal index at step t
+        let mut current = zeros.clone();
+        // each period's γ; a missing one is 0
+        let mut gamma = zeros;
+        for (g, &v) in gamma.as_mut().iter_mut().zip(gammas) {
+            *g = v;
+        }
+        // each period's phase cursor: the index of step t in its seasonal
+        // vector, `t % m` without the division
+        let mut phase = cursors.clone();
+        let mut period = cursors;
+        for (m, &v) in period.as_mut().iter_mut().zip(self.periods) {
+            *m = v;
+        }
+        for (s, start) in self.seasonals.iter_mut().zip(&self.start_seasonals) {
+            s.copy_from_slice(start);
+        }
+        let mut level = self.start_level;
+        let mut trend = self.start_trend;
+        let mut sse = 0.0;
+        for (t, &x) in self.y.iter().enumerate() {
+            for ((c, s), &p) in current
+                .as_mut()
+                .iter_mut()
+                .zip(&self.seasonals)
+                .zip(phase.as_ref())
+            {
+                *c = s.get(p).copied().unwrap_or_default();
+            }
+            let season_sum: f64 = current.as_ref().iter().sum();
+            let fitted = level + trend + season_sum;
+            let err = x - fitted;
+            if !err.is_finite() {
+                return None;
+            }
+            if t >= self.warmup {
+                sse += err * err;
+                if let Some(r) = residuals.as_deref_mut() {
+                    r.push(err);
+                }
+            }
+            let prev_level = level;
+            level = alpha * (x - season_sum) + (1.0 - alpha) * (level + trend);
+            if self.use_trend {
+                trend = beta * (level - prev_level) + (1.0 - beta) * trend;
+            }
+            // period j sees the indices of periods k < j already updated
+            // at this step, exactly as in the in-place `t % m` recursion
+            for (j, &g) in gamma.as_ref().iter().enumerate() {
+                let other: f64 = current
+                    .as_ref()
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| k != j)
+                    .map(|(_, &v)| v)
+                    .sum();
+                if let Some(c) = current.as_mut().get_mut(j) {
+                    *c = g * (x - level - other) + (1.0 - g) * *c;
+                }
+            }
+            for (((s, p), &c), &m) in self
+                .seasonals
+                .iter_mut()
+                .zip(phase.as_mut().iter_mut())
+                .zip(current.as_ref())
+                .zip(period.as_ref())
+            {
+                if let Some(slot) = s.get_mut(*p) {
+                    *slot = c;
+                }
+                *p += 1;
+                if *p >= m {
+                    *p = 0;
+                }
+            }
+        }
+        Some((level, trend, sse))
+    }
+}
+
+/// The exponential-smoothing core of one component configuration.
+#[derive(Debug, Clone)]
+struct EsFit {
+    state: SmoothingState,
+    trend: bool,
     alpha: f64,
     beta: f64,
     gammas: Vec<f64>,
-    residuals: Vec<f64>,
-    sse: f64,
+    /// Raw (pre-sigmoid) optimizer vector at the optimum — the seed for warm
+    /// restarts via [`Bats::fit_seeded_with_deadline`].
+    raw: Vec<f64>,
+    /// True when the deadline cut the smoothing-constant search short.
+    timed_out: bool,
 }
 
 /// A fitted BATS model.
@@ -72,12 +300,8 @@ pub struct Bats {
     pub periods: Vec<usize>,
     /// Whether ARMA error correction was selected.
     pub has_arma: bool,
-    es: EsState,
+    es: EsFit,
     arma: Option<Arima>,
-    /// Raw (pre-sigmoid) optimizer parameters of the selected smoothing
-    /// constants — the seed for warm restarts via
-    /// [`Bats::fit_seeded_with_deadline`].
-    raw: Vec<f64>,
     /// AIC of the selected configuration.
     pub aic: f64,
     /// True when a fit deadline expired before the component grid (or the
@@ -107,6 +331,30 @@ fn box_cox_inv(y: f64, lambda: f64) -> f64 {
     }
 }
 
+/// Shift that makes `series` strictly positive for the Box-Cox transform.
+fn positivity_offset(series: &[f64]) -> f64 {
+    let min = series.iter().cloned().fold(f64::INFINITY, f64::min);
+    if min <= 0.0 {
+        1.0 - min
+    } else {
+        0.0
+    }
+}
+
+/// Map a raw optimizer vector to the smoothing constants: returns `(α, β)`
+/// and writes one γ per period into `gammas`. The vector always has the
+/// search's dimension; a defensive 0.0 (sigmoid → 0.5) keeps the lookups
+/// total.
+fn smoothing_constants(raw: &[f64], use_trend: bool, gammas: &mut [f64]) -> (f64, f64) {
+    let raw_at = |i: usize| raw.get(i).copied().unwrap_or(0.0);
+    let alpha = sigmoid(raw_at(0));
+    let beta = if use_trend { sigmoid(raw_at(1)) } else { 0.0 };
+    for (g, i) in gammas.iter_mut().zip(2..) {
+        *g = sigmoid(raw_at(i)) * 0.5;
+    }
+    (alpha, beta)
+}
+
 impl Bats {
     /// The optimized smoothing constants `(α, β, γ_per_period)`.
     pub fn smoothing_params(&self) -> (f64, f64, &[f64]) {
@@ -118,23 +366,14 @@ impl Bats {
         Self::fit_with_deadline(series, config, None)
     }
 
-    /// [`Bats::fit`] with a cooperative hard stop: the deadline is threaded
-    /// into each smoothing-constant search and checked between component
-    /// grid combinations, so an expired budget returns the best
-    /// configuration found so far with `timed_out == true`. At least one
-    /// configuration is always attempted even on an already-expired
-    /// deadline.
-    pub fn fit_with_deadline(
-        series: &[f64],
-        config: &BatsConfig,
-        deadline: Option<Instant>,
-    ) -> Result<Self, FitError> {
+    /// The seasonal periods of `config` that fit twice into `series`, after
+    /// checking that the series is finite and long enough for them.
+    /// Infeasible requested periods are silently dropped, matching the
+    /// reference implementation's behavior on short series.
+    fn feasible_periods(series: &[f64], config: &BatsConfig) -> Result<Vec<usize>, FitError> {
         if series.iter().any(|v| !v.is_finite()) {
             return Err(FitError::new("series contains non-finite values"));
         }
-        // feasible periods first (must fit twice into the data); infeasible
-        // requested periods are silently dropped, matching the reference
-        // implementation's behavior on short series
         let periods: Vec<usize> = config
             .seasonal_periods
             .iter()
@@ -149,19 +388,28 @@ impl Bats {
                 (2 * max_period).max(10)
             )));
         }
+        Ok(periods)
+    }
 
-        let bc_options: Vec<bool> = match config.use_box_cox {
+    /// [`Bats::fit`] with a cooperative hard stop: the deadline is threaded
+    /// into each smoothing-constant search and checked between component
+    /// grid combinations, so an expired budget returns the best
+    /// configuration found so far with `timed_out == true`. At least one
+    /// configuration is always attempted even on an already-expired
+    /// deadline.
+    pub fn fit_with_deadline(
+        series: &[f64],
+        config: &BatsConfig,
+        deadline: Option<Instant>,
+    ) -> Result<Self, FitError> {
+        let periods = Self::feasible_periods(series, config)?;
+        let options = |forced: Option<bool>| match forced {
             Some(b) => vec![b],
             None => vec![false, true],
         };
-        let trend_options: Vec<bool> = match config.use_trend {
-            Some(b) => vec![b],
-            None => vec![false, true],
-        };
-        let arma_options: Vec<bool> = match config.use_arma {
-            Some(b) => vec![b],
-            None => vec![false, true],
-        };
+        let bc_options = options(config.use_box_cox);
+        let trend_options = options(config.use_trend);
+        let arma_options = options(config.use_arma);
 
         let expired = || deadline.is_some_and(|d| Instant::now() >= d);
         let mut truncated = false;
@@ -173,9 +421,10 @@ impl Bats {
             }
             // transform once per Box-Cox choice
             let (transformed, lambda, offset) = if use_bc {
-                let min = series.iter().cloned().fold(f64::INFINITY, f64::min);
-                let offset = if min <= 0.0 { 1.0 - min } else { 0.0 };
+                let offset = positivity_offset(series);
                 let shifted: Vec<f64> = series.iter().map(|&v| v + offset).collect();
+                // the Jacobian term does not depend on λ
+                let log_j: f64 = shifted.iter().map(|&v| v.max(1e-12).ln()).sum();
                 let lambda = autoai_linalg::golden_section_min(
                     |l| {
                         let y: Vec<f64> = shifted.iter().map(|&v| box_cox(v, l)).collect();
@@ -183,7 +432,6 @@ impl Bats {
                         if var <= 0.0 {
                             return f64::INFINITY;
                         }
-                        let log_j: f64 = shifted.iter().map(|&v| v.max(1e-12).ln()).sum();
                         0.5 * y.len() as f64 * var.ln() - (l - 1.0) * log_j
                     },
                     -1.0,
@@ -207,48 +455,24 @@ impl Bats {
                     truncated = true;
                     break;
                 }
-                let (es, es_timed_out, es_raw) =
-                    match Self::fit_es(&transformed, use_trend, &periods, deadline, None) {
-                        Some(es) => es,
-                        None => continue,
-                    };
+                let Some(es) = Self::fit_es(&transformed, use_trend, &periods, deadline, None)
+                else {
+                    continue;
+                };
                 for &use_arma in &arma_options {
                     if best.is_some() && expired() {
                         truncated = true;
                         break;
                     }
-                    let arma = if use_arma && es.residuals.len() >= 30 {
-                        Arima::fit_with_deadline(&es.residuals, ArimaSpec::new(1, 0, 1), deadline)
-                            .ok()
-                    } else {
-                        None
-                    };
-                    let sse = match &arma {
-                        Some(a) => a.sigma2 * es.residuals.len() as f64,
-                        None => es.sse,
-                    };
-                    let n_eff = es.residuals.len().max(1) as f64;
-                    let k = 2.0
-                        + periods.len() as f64
-                        + if use_trend { 1.0 } else { 0.0 }
-                        + if lambda.is_some() { 1.0 } else { 0.0 }
-                        + if arma.is_some() { 2.0 } else { 0.0 };
-                    let aic = n_eff * (sse / n_eff).max(1e-300).ln() + 2.0 * k;
-                    let has_arma = arma.is_some();
-                    let timed_out = es_timed_out || arma.as_ref().is_some_and(|a| a.timed_out);
-                    let cand = Bats {
+                    let cand = Self::assemble(
+                        series.len(),
+                        &periods,
                         lambda,
                         offset,
-                        has_trend: use_trend,
-                        periods: periods.clone(),
-                        has_arma,
-                        es: es.clone(),
-                        arma,
-                        raw: es_raw.clone(),
-                        aic,
-                        timed_out,
-                        n: series.len(),
-                    };
+                        use_arma,
+                        es.clone(),
+                        deadline,
+                    );
                     if best.as_ref().is_none_or(|b| cand.aic < b.aic) {
                         best = Some(cand);
                     }
@@ -259,6 +483,49 @@ impl Bats {
             best.ok_or_else(|| FitError::new("no BATS configuration could be fitted"))?;
         best.timed_out |= truncated;
         Ok(best)
+    }
+
+    /// Score one component configuration by AIC and assemble the model.
+    /// ARMA(1,1) error correction is fitted on the smoothing residuals when
+    /// `use_arma` asks for it and there are at least 30 of them.
+    fn assemble(
+        n: usize,
+        periods: &[usize],
+        lambda: Option<f64>,
+        offset: f64,
+        use_arma: bool,
+        es: EsFit,
+        deadline: Option<Instant>,
+    ) -> Bats {
+        let residuals = &es.state.residuals;
+        let arma = if use_arma && residuals.len() >= 30 {
+            Arima::fit_with_deadline(residuals, ArimaSpec::new(1, 0, 1), deadline).ok()
+        } else {
+            None
+        };
+        let sse = match &arma {
+            Some(a) => a.sigma2 * residuals.len() as f64,
+            None => es.state.sse,
+        };
+        let n_eff = residuals.len().max(1) as f64;
+        let k = 2.0
+            + periods.len() as f64
+            + if es.trend { 1.0 } else { 0.0 }
+            + if lambda.is_some() { 1.0 } else { 0.0 }
+            + if arma.is_some() { 2.0 } else { 0.0 };
+        let aic = n_eff * (sse / n_eff).max(1e-300).ln() + 2.0 * k;
+        Bats {
+            lambda,
+            offset,
+            has_trend: es.trend,
+            periods: periods.to_vec(),
+            has_arma: arma.is_some(),
+            timed_out: es.timed_out || arma.as_ref().is_some_and(|a| a.timed_out),
+            es,
+            arma,
+            aic,
+            n,
+        }
     }
 
     /// Warm-restart fit: reuse the component structure and optimizer state
@@ -285,127 +552,64 @@ impl Bats {
         seed: &Bats,
         deadline: Option<Instant>,
     ) -> Result<Self, FitError> {
-        if series.iter().any(|v| !v.is_finite()) {
-            return Err(FitError::new("series contains non-finite values"));
-        }
-        let periods: Vec<usize> = config
-            .seasonal_periods
-            .iter()
-            .copied()
-            .filter(|&m| m >= 2 && 2 * m < series.len())
-            .collect();
-        let max_period = periods.iter().copied().max().unwrap_or(0);
-        if series.len() < (2 * max_period).max(10) {
-            return Err(FitError::new(format!(
-                "series too short for BATS: {} < {}",
-                series.len(),
-                (2 * max_period).max(10)
-            )));
-        }
+        let periods = Self::feasible_periods(series, config)?;
         if periods != seed.periods {
             return Err(FitError::new(
                 "seeded BATS refit: feasible seasonal periods changed",
             ));
         }
 
-        let (transformed, lambda, offset) = match seed.lambda {
+        let (transformed, offset) = match seed.lambda {
             Some(l) => {
-                let min = series.iter().cloned().fold(f64::INFINITY, f64::min);
-                let offset = if min <= 0.0 { 1.0 - min } else { 0.0 };
+                let offset = positivity_offset(series);
                 (
                     series
                         .iter()
                         .map(|&v| box_cox(v + offset, l))
                         .collect::<Vec<f64>>(),
-                    Some(l),
                     offset,
                 )
             }
-            None => (series.to_vec(), None, 0.0),
+            None => (series.to_vec(), 0.0),
         };
 
-        let (es, es_timed_out, es_raw) = Self::fit_es(
+        let es = Self::fit_es(
             &transformed,
             seed.has_trend,
             &periods,
             deadline,
-            Some(&seed.raw),
+            Some(&seed.es.raw),
         )
         .ok_or_else(|| FitError::new("seeded BATS refit: smoothing fit failed"))?;
-
-        let arma = if seed.has_arma && es.residuals.len() >= 30 {
-            Arima::fit_with_deadline(&es.residuals, ArimaSpec::new(1, 0, 1), deadline).ok()
-        } else {
-            None
-        };
-        let sse = match &arma {
-            Some(a) => a.sigma2 * es.residuals.len() as f64,
-            None => es.sse,
-        };
-        let n_eff = es.residuals.len().max(1) as f64;
-        let k = 2.0
-            + periods.len() as f64
-            + if seed.has_trend { 1.0 } else { 0.0 }
-            + if lambda.is_some() { 1.0 } else { 0.0 }
-            + if arma.is_some() { 2.0 } else { 0.0 };
-        let aic = n_eff * (sse / n_eff).max(1e-300).ln() + 2.0 * k;
-        let timed_out = es_timed_out || arma.as_ref().is_some_and(|a| a.timed_out);
-        let has_arma = arma.is_some();
-        Ok(Bats {
-            lambda,
+        Ok(Self::assemble(
+            series.len(),
+            &periods,
+            seed.lambda,
             offset,
-            has_trend: seed.has_trend,
-            periods,
-            has_arma,
+            seed.has_arma,
             es,
-            arma,
-            raw: es_raw,
-            aic,
-            timed_out,
-            n: series.len(),
-        })
+            deadline,
+        ))
     }
 
-    /// Fit the exponential-smoothing core with batched Nelder–Mead over
-    /// smoothing constants (sigmoid-constrained). The whole candidate set of
-    /// each simplex iteration is evaluated in one objective call with shared
-    /// scratch, amortizing per-candidate setup. The second element of the
-    /// result reports whether the search was cut short by the deadline; the
-    /// third is the raw optimizer vector at the optimum, reusable as a warm
-    /// start via `seed`. A `seed` whose length does not match the parameter
-    /// dimension is ignored (cold start).
+    /// Fit the exponential-smoothing core with Nelder–Mead over the
+    /// smoothing constants (sigmoid-constrained). Every objective
+    /// evaluation is one allocation-free [`Smoother::sse`] pass; only the
+    /// optimum's pass keeps residuals. A `seed` whose length does not match
+    /// the parameter dimension is ignored (cold start).
     fn fit_es(
         y: &[f64],
         use_trend: bool,
         periods: &[usize],
         deadline: Option<Instant>,
         seed: Option<&[f64]>,
-    ) -> Option<(EsState, bool, Vec<f64>)> {
-        let n_gammas = periods.len();
-        let dim = 2 + n_gammas;
-        // the optimizer's parameter vector always has length `dim`; a
-        // defensive 0.0 (sigmoid → 0.5) keeps the lookup total
-        let raw_at = |raw: &[f64], i: usize| raw.get(i).copied().unwrap_or(0.0);
-        let mut gamma_scratch = vec![0.0; n_gammas];
-        let mut objective = move |points: &[Vec<f64>]| -> Vec<f64> {
-            points
-                .iter()
-                .map(|raw| {
-                    let alpha = sigmoid(raw_at(raw, 0));
-                    let beta = if use_trend {
-                        sigmoid(raw_at(raw, 1))
-                    } else {
-                        0.0
-                    };
-                    for (g, i) in gamma_scratch.iter_mut().zip(0..) {
-                        *g = sigmoid(raw_at(raw, 2 + i)) * 0.5;
-                    }
-                    match Self::run_es(y, use_trend, periods, alpha, beta, &gamma_scratch) {
-                        Some(st) => st.sse,
-                        None => f64::INFINITY,
-                    }
-                })
-                .collect()
+    ) -> Option<EsFit> {
+        let dim = 2 + periods.len();
+        let mut smoother = Smoother::new(y, use_trend, periods)?;
+        let mut gammas = vec![0.0; periods.len()];
+        let mut objective = |raw: &[f64]| -> f64 {
+            let (alpha, beta) = smoothing_constants(raw, use_trend, &mut gammas);
+            smoother.sse(alpha, beta, &gammas).unwrap_or(f64::INFINITY)
         };
         let cold_init = vec![-1.0; dim];
         let opts = NelderMeadOptions {
@@ -422,9 +626,9 @@ impl Bats {
         // would produce.
         let (raw, timed_out) = match seed {
             Some(s) if s.len() == dim => {
-                let (r_seed, f_seed, t_seed) = nelder_mead_batched(&mut objective, s, &opts);
+                let (r_seed, f_seed, t_seed) = nelder_mead_budgeted(&mut objective, s, &opts);
                 let (r_cold, f_cold, t_cold) =
-                    nelder_mead_batched(&mut objective, &cold_init, &opts);
+                    nelder_mead_budgeted(&mut objective, &cold_init, &opts);
                 if f_seed < f_cold {
                     (r_seed, t_seed || t_cold)
                 } else {
@@ -432,111 +636,20 @@ impl Bats {
                 }
             }
             _ => {
-                let (r, _, t) = nelder_mead_batched(&mut objective, &cold_init, &opts);
+                let (r, _, t) = nelder_mead_budgeted(&mut objective, &cold_init, &opts);
                 (r, t)
             }
         };
-        let alpha = sigmoid(raw_at(&raw, 0));
-        let beta = if use_trend {
-            sigmoid(raw_at(&raw, 1))
-        } else {
-            0.0
-        };
-        let gammas: Vec<f64> = (0..n_gammas)
-            .map(|i| sigmoid(raw_at(&raw, 2 + i)) * 0.5)
-            .collect();
-        Self::run_es(y, use_trend, periods, alpha, beta, &gammas).map(|st| (st, timed_out, raw))
-    }
-
-    /// One pass of the additive multi-seasonal smoothing recursion.
-    fn run_es(
-        y: &[f64],
-        use_trend: bool,
-        periods: &[usize],
-        alpha: f64,
-        beta: f64,
-        gammas: &[f64],
-    ) -> Option<EsState> {
-        let warmup = periods.iter().copied().max().unwrap_or(1).max(2);
-        // initial seasonal indices from the first cycle of each period
-        let base = autoai_linalg::mean(y.get(..warmup)?);
-        let mut seasonals: Vec<Vec<f64>> = periods
-            .iter()
-            .map(|&m| {
-                let mut idx = vec![0.0; m];
-                let cycles = y.len() / m;
-                let use_cycles = cycles.clamp(1, 2);
-                for (j, v) in idx.iter_mut().enumerate() {
-                    let mut s = 0.0;
-                    for c in 0..use_cycles {
-                        // c < cycles and j < m, so c*m + j < cycles*m <= len
-                        s += y.get(c * m + j).copied().unwrap_or(base);
-                    }
-                    *v = s / use_cycles as f64 - base;
-                }
-                // divide initial effect among overlapping periods
-                if periods.len() > 1 {
-                    for v in idx.iter_mut() {
-                        *v /= periods.len() as f64;
-                    }
-                }
-                idx
-            })
-            .collect();
-        let mut level = base;
-        let mut trend = if use_trend && y.len() > warmup {
-            (y.get(warmup)? - y.first()?) / warmup as f64
-        } else {
-            0.0
-        };
-        let mut residuals = Vec::with_capacity(y.len());
-        let mut sse = 0.0;
-        // one seasonal index vector per period: zipping keeps the per-period
-        // lookups total (t % m < m == the vector's length by construction)
-        for (t, &x) in y.iter().enumerate() {
-            let season_sum: f64 = periods
-                .iter()
-                .zip(&seasonals)
-                .map(|(&m, s)| s.get(t % m).copied().unwrap_or_default())
-                .sum();
-            let fitted = level + trend + season_sum;
-            let err = x - fitted;
-            if !err.is_finite() {
-                return None;
-            }
-            if t >= warmup {
-                sse += err * err;
-                residuals.push(err);
-            }
-            let prev_level = level;
-            level = alpha * (x - season_sum) + (1.0 - alpha) * (level + trend);
-            if use_trend {
-                trend = beta * (level - prev_level) + (1.0 - beta) * trend;
-            }
-            for j in 0..periods.len() {
-                let other: f64 = periods
-                    .iter()
-                    .zip(&seasonals)
-                    .enumerate()
-                    .filter(|&(k, _)| k != j)
-                    .map(|(_, (&mk, s))| s.get(t % mk).copied().unwrap_or_default())
-                    .sum();
-                let g = gammas.get(j).copied().unwrap_or_default();
-                let m = periods.get(j).copied().unwrap_or(1);
-                if let Some(slot) = seasonals.get_mut(j).and_then(|s| s.get_mut(t % m)) {
-                    *slot = g * (x - level - other) + (1.0 - g) * *slot;
-                }
-            }
-        }
-        Some(EsState {
-            level,
-            trend,
-            seasonals,
+        let (alpha, beta) = smoothing_constants(&raw, use_trend, &mut gammas);
+        let state = smoother.pass(alpha, beta, &gammas)?;
+        Some(EsFit {
+            state,
+            trend: use_trend,
             alpha,
             beta,
-            gammas: gammas.to_vec(),
-            residuals,
-            sse,
+            gammas,
+            raw,
+            timed_out,
         })
     }
 
@@ -549,10 +662,10 @@ impl Bats {
                 let season_sum: f64 = self
                     .periods
                     .iter()
-                    .zip(&self.es.seasonals)
+                    .zip(&self.es.state.seasonals)
                     .map(|(&m, s)| s.get(t % m).copied().unwrap_or_default())
                     .sum();
-                let mut v = self.es.level + self.es.trend * h as f64 + season_sum;
+                let mut v = self.es.state.level + self.es.state.trend * h as f64 + season_sum;
                 if let Some(af) = &arma_fore {
                     v += af.get(h - 1).copied().unwrap_or_default();
                 }

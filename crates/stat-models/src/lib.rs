@@ -29,7 +29,7 @@ pub use arima::{
     auto_arima, auto_arima_seeded, auto_arima_seeded_with_deadline, auto_arima_with_deadline,
     Arima, ArimaSpec,
 };
-pub use bats::{Bats, BatsConfig};
+pub use bats::{Bats, BatsConfig, Smoother, SmoothingState};
 pub use garch::Garch;
 pub use holtwinters::{HoltWinters, Seasonality};
 pub use incremental_ar::{BlockedSum, IncrementalAr};

@@ -47,7 +47,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use autoai_linalg::{
-    parallel_try_map_mut, simple_linreg, supervised_try_map, SupervisedOutcome, WorkerPanic,
+    parallel_try_map_mut, pool_threads, simple_linreg, supervised_try_map, SupervisedOutcome,
+    WorkerPanic,
 };
 use autoai_pipelines::{Forecaster, PipelineError};
 use autoai_tsdata::{FrameFingerprint, Metric, TimeSeriesFrame};
@@ -782,11 +783,7 @@ impl Executor<'_> {
         if units.is_empty() {
             return;
         }
-        let workers = if self.parallel {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            1
-        };
+        let workers = if self.parallel { pool_threads() } else { 1 };
         let keys: Vec<usize> = units.iter().map(|u| u.idx).collect();
         let outcomes = supervised_try_map(units, hard, workers, |u: &mut WorkUnit| {
             evaluate_unit_with_retry(&mut u.pipeline, &u.spec)

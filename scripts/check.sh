@@ -44,7 +44,7 @@ cargo test -q --offline --release --test online_drift
 echo "==> tdaub bench smoke (warm starts >= 2x cold fits, fits avoided, ranking parity, warm re-selection <= 0.6x cold)"
 cargo bench -q --offline -p autoai-bench --bench tdaub -- --smoke
 
-echo "==> kernels bench smoke (vectorized kernels >= 2x naive, batched Nelder-Mead, parallel multi-output fits and CART kernel bitwise parity)"
+echo "==> kernels bench smoke (vectorized kernels >= 2x naive; BATS smoothing recursion, parallel multi-output fits and CART kernel bitwise parity)"
 cargo bench -q --offline -p autoai-bench --bench kernels -- --smoke
 
 echo "check.sh: all gates passed"
